@@ -22,8 +22,6 @@ from .cascade import (
     load_cascade,
     random_chained_cascade,
     save_cascade,
-    slice_layer,
-    slice_range,
     state_from_json,
     state_to_json,
     validate_conditions,
@@ -67,13 +65,10 @@ from .linalg import (
     random_unit_vector,
 )
 from .observables import (
-    ComposedObservable,
     PrincipalEigenfunction,
     ProductEigenfunction,
     check_eigenfunction_bounds,
     compose_with_perturbation,
-    deflated_laplace_average,
-    eigenfunction_residual,
     eigenfunction_residuals,
     extend_to_cascade,
     koopman_apply,
@@ -113,8 +108,6 @@ __all__ = [
     "load_cascade",
     "random_chained_cascade",
     "save_cascade",
-    "slice_layer",
-    "slice_range",
     "state_from_json",
     "state_to_json",
     "validate_conditions",
@@ -150,13 +143,10 @@ __all__ = [
     "operator_norm",
     "random_matrix_with_norm",
     "random_unit_vector",
-    "ComposedObservable",
     "PrincipalEigenfunction",
     "ProductEigenfunction",
     "check_eigenfunction_bounds",
     "compose_with_perturbation",
-    "deflated_laplace_average",
-    "eigenfunction_residual",
     "eigenfunction_residuals",
     "extend_to_cascade",
     "koopman_apply",

@@ -10,6 +10,8 @@ are 1-based, matching the block structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -42,16 +44,14 @@ class StateVector:
             raise IndexError(f"layer index {i} out of range 1..{len(self.layers)}")
         return self.layers[i - 1]
 
-    def slice_range(self, i: int, j: int) -> tuple[np.ndarray, ...]:
-        """Layers i..j inclusive (1-based, i <= j)."""
-        if not 1 <= i <= j <= len(self.layers):
-            raise IndexError(
-                f"slice range ({i}, {j}) out of range for {len(self.layers)} layers"
-            )
-        return self.layers[i - 1 : j]
-
     def stacked(self) -> np.ndarray:
         return np.concatenate(self.layers) if self.layers else np.zeros(0, complex)
+
+    @staticmethod
+    def unstack(v: np.ndarray, dims: Sequence[int]) -> "StateVector":
+        """Inverse of stacked(): split one stacked vector into layers of the given dims."""
+        bounds = (0, *accumulate(dims))
+        return StateVector(tuple(v[a:b] for a, b in zip(bounds, bounds[1:])))
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.layers)
@@ -69,16 +69,6 @@ class StateVector:
         return StateVector(tuple(alpha * a for a in self.layers))
 
 
-def slice_layer(x: StateVector, i: int) -> np.ndarray:
-    """Canonical projection onto layer i (1-based)."""
-    return x.layer(i)
-
-
-def slice_range(x: StateVector, i: int, j: int) -> tuple[np.ndarray, ...]:
-    """Projection onto layers i..j (1-based, inclusive)."""
-    return x.slice_range(i, j)
-
-
 @dataclass(frozen=True, eq=False)
 class CascadeSystem:
     """Immutable cascade with cached eigendecompositions and layer norms.
@@ -86,6 +76,14 @@ class CascadeSystem:
     ``eig[k]`` is None when layer k+1 was rejected (ill-conditioned or
     singular); ``eigenvalues[k]`` still carries the raw sorted spectrum so
     condition validation can report on bad systems.
+
+    The stacked operators on the concatenated state are built on first use:
+    the coupled operator ``A`` (block lower triangular), the decoupled
+    ``N = blockdiag(L_i)``, and the eigenbasis ``V = blockdiag(V_i)``,
+    ``Vinv = blockdiag(V_i^-1)`` with the eigenvalues ``lams`` in the same
+    order, so that ``N = V diag(lams) Vinv``. Layer k occupies
+    ``offsets[k-1]:offsets[k]`` and stacked coordinate m is eigenfunction
+    ``modes[m] = (layer, index)``.
     """
 
     dims: tuple[int, ...]
@@ -108,6 +106,42 @@ class CascadeSystem:
 
     def coupling(self, i: int, j: int) -> np.ndarray | None:
         return self.couplings.get((i, j))
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.dims))).astype(int)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        diag = {(i, i): m for i, m in enumerate(self.L, start=1)}
+        return linalg.block_matrix(self.dims, {**diag, **self.couplings})
+
+    @cached_property
+    def N(self) -> np.ndarray:
+        diag = {(i, i): m for i, m in enumerate(self.L, start=1)}
+        return linalg.block_matrix(self.dims, diag)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return linalg.block_matrix(
+            self.dims, {(i, i): self.eig_of(i).V for i in range(1, self.n + 1)}
+        )
+
+    @cached_property
+    def Vinv(self) -> np.ndarray:
+        return linalg.block_matrix(
+            self.dims, {(i, i): self.eig_of(i).Vinv for i in range(1, self.n + 1)}
+        )
+
+    @cached_property
+    def lams(self) -> np.ndarray:
+        return np.concatenate([self.eig_of(i).eigenvalues for i in range(1, self.n + 1)])
+
+    @cached_property
+    def modes(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
+            (i, s) for i, d in enumerate(self.dims, start=1) for s in range(1, d + 1)
+        )
 
     def eig_of(self, i: int) -> EigDecomposition:
         """Decomposition of layer i (1-based); raises if the layer was rejected."""

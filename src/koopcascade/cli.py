@@ -18,7 +18,6 @@ overflow, 5 verification checks failed.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import sys as _sys
@@ -67,7 +66,7 @@ from .orbits import (
     compute_error_series,
     error_series_to_csv,
 )
-from .perturbation import compute_perturbation, perturbation_to_json
+from .perturbation import PerturbationData, compute_perturbation, perturbation_to_json
 
 LINEAR_CHECKS = (
     "error-bounds",
@@ -302,7 +301,7 @@ def cmd_simulate(args) -> int:
 
 def run_checks(
     system: CascadeSystem,
-    report,
+    pd: PerturbationData,
     x0: StateVector,
     horizon: int,
     selected: list[str],
@@ -311,7 +310,6 @@ def run_checks(
     seed: int = 0,
 ) -> dict:
     """Run the selected checks and return {name: report-dict with 'passed'}."""
-    pd = compute_perturbation(system, report)
     results: dict[str, dict] = {}
 
     if "error-bounds" in selected:
@@ -398,9 +396,10 @@ def cmd_verify(args) -> int:
 
     profile = TolProfile.named(args.tol_profile)
     x0 = _initial_state(system, args)
+    pd = compute_perturbation(system, report)
     try:
         results = run_checks(
-            system, report, x0, args.horizon, selected, profile, conj_spec,
+            system, pd, x0, args.horizon, selected, profile, conj_spec,
             seed=args.seed,
         )
     except OrbitOverflowError as exc:
@@ -430,25 +429,29 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_eigs(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    system, report = _load_validated(args.spec)
-    if system is None:
-        return EXIT_VALIDATION
-    pd = compute_perturbation(system, report)
+def write_eigs_tables(
+    system: CascadeSystem,
+    pd: PerturbationData,
+    out_dir: Path,
+    seed: int,
+    layer: int | None = None,
+    index: int | None = None,
+) -> tuple[list[Path], int, float]:
+    """Eigenfunction inventory (eigenfunctions.json) and Laplace convergence
+    table (laplace.csv) for the selected (layer, index) pairs.
 
-    streams = _rng_streams(args.seed, 3)
+    Returns the written files, the number of pairs swept and the largest
+    residual over all pairs.
+    """
+    streams = _rng_streams(seed, 3)
     samples = [system.random_state(streams[1]) for _ in range(20)]
     x_ref = system.random_state(streams[2])
     residuals = eigenfunction_residuals(system, pd, samples, horizon=50)
 
     pairs = [
         (i, s)
-        for i in range(1, system.n + 1)
-        for s in range(1, system.dims[i - 1] + 1)
-        if (args.layer is None or i == args.layer)
-        and (args.index is None or s == args.index)
+        for i, s in system.modes
+        if (layer is None or i == layer) and (index is None or s == index)
     ]
 
     inventory = []
@@ -502,16 +505,29 @@ def cmd_eigs(args) -> int:
             )
 
     worst = max(residuals.values()) if residuals else 0.0
+    return [eig_path, csv_path], len(pairs), worst
+
+
+def cmd_eigs(args) -> int:
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    system, report = _load_validated(args.spec)
+    if system is None:
+        return EXIT_VALIDATION
+    pd = compute_perturbation(system, report)
+    files, swept, worst = write_eigs_tables(
+        system, pd, out_dir, args.seed, args.layer, args.index
+    )
     write_manifest(
         out_dir,
         {"spec": str(args.spec), "seed": args.seed, "layer": args.layer,
          "index": args.index},
         {"max_residual": worst},
-        [eig_path, csv_path],
+        files,
     )
     print(
-        f"swept {len(pairs)} eigenfunctions, max residual {worst:.3e} "
-        f"-> {eig_path}, {csv_path}"
+        f"swept {swept} eigenfunctions, max residual {worst:.3e} "
+        f"-> {files[0]}, {files[1]}"
     )
     return EXIT_OK
 
@@ -540,8 +556,7 @@ def _repro_single(seed: int, out_dir: Path, args) -> int:
     pd = compute_perturbation(system, report)
     x0 = system.random_state(streams[1])
 
-    spec_path = out_dir / "cascade.json"
-    _write_json(spec_path, cascade_to_json(system))
+    _write_json(out_dir / "cascade.json", cascade_to_json(system))
     _write_json(out_dir / "conditions.json", report.to_json())
     _write_json(out_dir / "x0.json", state_to_json(x0))
     _write_json(out_dir / "perturbation.json", perturbation_to_json(pd))
@@ -555,7 +570,7 @@ def _repro_single(seed: int, out_dir: Path, args) -> int:
     _write_json(out_dir / "conjugacy.json", conj_spec)
     profile = TolProfile.named(cfg.tol_profile)
     results = run_checks(
-        system, report, x0, cfg.horizon, list(ALL_CHECKS), profile, conj_spec,
+        system, pd, x0, cfg.horizon, list(ALL_CHECKS), profile, conj_spec,
         seed=seed,
     )
     overall = all(r["passed"] for r in results.values())
@@ -564,13 +579,7 @@ def _repro_single(seed: int, out_dir: Path, args) -> int:
         "tol_profile": profile.name, "horizon": cfg.horizon,
     })
 
-    eigs_args = argparse.Namespace(
-        spec=str(spec_path), out_dir=str(out_dir), seed=seed, layer=None, index=None,
-        tol_profile=cfg.tol_profile,
-    )
-    code = cmd_eigs(eigs_args)
-    if code != EXIT_OK:
-        return code
+    write_eigs_tables(system, pd, out_dir, seed)
 
     files = sorted(p for p in out_dir.iterdir() if p.is_file() and p.name != "manifest.json")
     write_manifest(out_dir, cfg.to_json(), {k: v["passed"] for k, v in results.items()}, files)
@@ -582,15 +591,10 @@ def cmd_repro(args) -> int:
     out_dir = Path(args.out_dir)
     if args.trials <= 1:
         return _repro_single(args.seed, out_dir, args)
-    seeds = [args.seed + k for k in range(args.trials)]
-    codes = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(args.trials, 8)) as pool:
-        futures = {
-            pool.submit(_repro_single, s, out_dir / f"trial_{k:04d}", args): s
-            for k, s in enumerate(seeds)
-        }
-        for fut in concurrent.futures.as_completed(futures):
-            codes[futures[fut]] = fut.result()
+    codes = {
+        args.seed + k: _repro_single(args.seed + k, out_dir / f"trial_{k:04d}", args)
+        for k in range(args.trials)
+    }
     bad = {s: c for s, c in codes.items() if c != EXIT_OK}
     if bad:
         print(f"failing trials (seed: exit code): {bad}", file=_sys.stderr)
@@ -666,7 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--cubic", type=float, default=0.1,
                    help="cubic conjugacy coefficient for the nonlinear checks")
     r.add_argument("--trials", type=int, default=1,
-                   help="run this many seeds in parallel worker threads")
+                   help="run this many consecutive seeds, one after another, "
+                   "into trial_0000, trial_0001, ...")
     r.set_defaults(func=cmd_repro)
 
     return parser

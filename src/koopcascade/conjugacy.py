@@ -29,14 +29,14 @@ NEWTON_MAX_ITER = 100
 WORKING_BALL_RADIUS = 2.0
 
 
-def _invert_monotone_cubic(w: np.ndarray, a: float) -> np.ndarray:
-    """Solve u + a*u**3 = w coordinatewise (a >= 0, strictly increasing).
+def _invert_monotone_cubic(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Solve u + a*u**3 = w coordinatewise (a >= 0 per coordinate, strictly
+    increasing).
 
     Newton with a bisection safeguard on the bracket [0, w] (signs included);
-    residual tolerance NEWTON_TOL * (1 + |w|).
+    residual tolerance NEWTON_TOL * (1 + |w|). Coordinates with a = 0 are
+    exact from the first iterate, u = w.
     """
-    if a == 0.0:
-        return w.copy()
     lo = np.minimum(w, 0.0)
     hi = np.maximum(w, 0.0)
     u = w / (1.0 + a * w * w)
@@ -52,7 +52,8 @@ def _invert_monotone_cubic(w: np.ndarray, a: float) -> np.ndarray:
         outside = (u_new < lo) | (u_new > hi)
         u = np.where(outside, 0.5 * (lo + hi), u_new)
     raise NewtonDivergenceError(
-        f"cubic inversion did not converge in {NEWTON_MAX_ITER} iterations (a={a})"
+        f"cubic inversion did not converge in {NEWTON_MAX_ITER} iterations "
+        f"(max a={float(np.max(a))})"
     )
 
 
@@ -94,28 +95,25 @@ def polynomial_conjugacy(coeffs: Sequence[float]) -> Conjugacy:
     if any(not np.isfinite(c) or c < 0 for c in a):
         raise ValueError(f"cubic coefficients must be finite and >= 0, got {a}")
 
-    def forward(x: StateVector) -> StateVector:
+    def coeffs_for(x: StateVector) -> np.ndarray:
         if len(x) != len(a):
             raise DimensionMismatchError(
                 f"state has {len(x)} layers, conjugacy expects {len(a)}"
             )
-        out = []
-        for c, v in zip(a, x.layers):
-            re, im = v.real, v.imag
-            out.append((re + c * re**3) + 1j * (im + c * im**3))
-        return StateVector(tuple(out))
+        return np.repeat(a, x.dims)
+
+    def forward(x: StateVector) -> StateVector:
+        c = coeffs_for(x)
+        v = x.stacked()
+        re, im = v.real, v.imag
+        return StateVector.unstack((re + c * re**3) + 1j * (im + c * im**3), x.dims)
 
     def inverse(y: StateVector) -> StateVector:
-        if len(y) != len(a):
-            raise DimensionMismatchError(
-                f"state has {len(y)} layers, conjugacy expects {len(a)}"
-            )
-        out = []
-        for c, v in zip(a, y.layers):
-            re = _invert_monotone_cubic(np.asarray(v.real, dtype=float), c)
-            im = _invert_monotone_cubic(np.asarray(v.imag, dtype=float), c)
-            out.append(re + 1j * im)
-        return StateVector(tuple(out))
+        """One safeguarded Newton solve over all real and imaginary parts."""
+        c = coeffs_for(y)
+        v = y.stacked()
+        u = _invert_monotone_cubic(np.concatenate([v.real, v.imag]), np.concatenate([c, c]))
+        return StateVector.unstack(u[: v.size] + 1j * u[v.size :], y.dims)
 
     return Conjugacy(
         kind="polynomialDiagonal",

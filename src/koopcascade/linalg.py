@@ -14,7 +14,7 @@ Randomness is always driven by an explicit ``numpy.random.Generator``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class EigDecomposition:
     def matrix_power(self, t: int) -> np.ndarray:
         """L**t as V diag(lambda**t) Vinv; t may be negative."""
         return (self.V * self.eigenvalues**t) @ self.Vinv
-
-    def apply_power(self, t: int, v: np.ndarray) -> np.ndarray:
-        """L**t @ v without forming the matrix power."""
-        return self.V @ (self.eigenvalues**t * (self.Vinv @ v))
 
     def inverse_matrix(self) -> np.ndarray:
         return self.matrix_power(-1)
@@ -145,6 +141,25 @@ def composite_norm(layers: Iterable[np.ndarray]) -> float:
     return float(sum(np.linalg.norm(np.asarray(v)) for v in layers))
 
 
+def layer_norms(X: np.ndarray, offsets: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Per-layer 2-norms of stacked states along ``axis``, whose layer k
+    occupies offsets[k]:offsets[k+1]; that axis shrinks to one entry per layer."""
+    sq = X.real**2 + X.imag**2
+    return np.sqrt(np.add.reduceat(sq, offsets[:-1], axis=axis))
+
+
+def block_matrix(
+    dims: Sequence[int], blocks: Mapping[tuple[int, int], np.ndarray]
+) -> np.ndarray:
+    """Dense complex matrix on the stacked state space with block (i, j)
+    (1-based, shape (d_i, d_j)) taken from ``blocks`` and zeros elsewhere."""
+    offsets = np.concatenate(([0], np.cumsum(dims))).astype(int)
+    M = np.zeros((offsets[-1], offsets[-1]), dtype=np.complex128)
+    for (i, j), b in blocks.items():
+        M[offsets[i - 1] : offsets[i], offsets[j - 1] : offsets[j]] = b
+    return M
+
+
 def random_matrix_with_norm(
     rows: int, cols: int, target_norm: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -181,11 +196,6 @@ def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def complex_to_json(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
-
-
-def complex_from_json(pair) -> complex:
-    re, im = pair
-    return complex(float(re), float(im))
 
 
 def matrix_to_json(M) -> dict:

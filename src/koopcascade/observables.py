@@ -24,7 +24,7 @@ from .errors import (
     NotPeripheralError,
     SameLayerProductError,
 )
-from .orbits import compute_error_series, iterate_lin
+from .orbits import check_state, checked_orbit, compute_error_series, stacked_orbit
 from .perturbation import PerturbationData, apply_perturbation
 
 PERIPHERAL_TOL = 1e-9
@@ -43,13 +43,6 @@ class PrincipalEigenfunction:
         if self.coeff_row is None:
             return 1.0 + 0.0j
         return complex(self.coeff_row @ np.asarray(x_layer, dtype=np.complex128))
-
-    @property
-    def functional_norm(self) -> float:
-        """Operator norm of the linear functional (2-norm of the row)."""
-        if self.coeff_row is None:
-            return 0.0
-        return float(np.linalg.norm(self.coeff_row))
 
 
 def principal_eigenfunction(sys: CascadeSystem, i: int, s: int) -> PrincipalEigenfunction:
@@ -148,25 +141,11 @@ def product_eigenfunction(sys: CascadeSystem, multi_index: Sequence[int]) -> Pro
     return out
 
 
-@dataclass(frozen=True)
-class ComposedObservable:
-    """base(pre_map(x)); pre_map None means identity."""
-
-    base: Callable[[StateVector], complex]
-    pre_map: Callable[[StateVector], StateVector] | None = None
-    pre_map_name: str = ""
-
-    def __call__(self, x: StateVector) -> complex:
-        y = x if self.pre_map is None else self.pre_map(x)
-        return complex(self.base(y))
-
-
 def compose_with_perturbation(
     f: Callable[[StateVector], complex], pd: PerturbationData
-) -> ComposedObservable:
-    return ComposedObservable(
-        base=f, pre_map=lambda x: apply_perturbation(pd, x), pre_map_name="pert"
-    )
+) -> Callable[[StateVector], complex]:
+    """The observable f o pert."""
+    return lambda x: complex(f(apply_perturbation(pd, x)))
 
 
 def koopman_apply(
@@ -199,43 +178,18 @@ def eigenfunction_residuals(
 
     For each sample x and t in 1..horizon the residual of f = psi o pert is
     |f(orbit_t(x)) - lambda^t f(x)| / max(1, |f(x)|); exactness of the
-    construction means these stay at rounding level. Traces are shared
-    across all (i, s), so the sweep costs one orbit per sample.
+    construction means these stay at rounding level. All pairs are read off
+    one stacked orbit per sample.
     """
-    out = {(i, s): 0.0 for i in range(1, sys.n + 1) for s in range(1, sys.dims[i - 1] + 1)}
+    lam_t = sys.lams ** np.arange(1, horizon + 1)[:, None]
+    worst = np.zeros(len(sys.modes))
     for x in sample_points:
-        trace = iterate_lin(sys, x, horizon)
-        pert_states = [apply_perturbation(pd, st) for st in trace.states]
-        base = pert_states[0]
-        for i in range(1, sys.n + 1):
-            d = sys.eig_of(i)
-            f0 = d.Vinv @ base.layer(i)  # all indices s at once
-            lam_pow = np.ones(sys.dims[i - 1], dtype=np.complex128)
-            for t in range(1, horizon + 1):
-                lam_pow = lam_pow * d.eigenvalues
-                ft = d.Vinv @ pert_states[t].layer(i)
-                resid = np.abs(ft - lam_pow * f0) / np.maximum(1.0, np.abs(f0))
-                for s in range(1, sys.dims[i - 1] + 1):
-                    key = (i, s)
-                    if resid[s - 1] > out[key]:
-                        out[key] = float(resid[s - 1])
-    return out
-
-
-def eigenfunction_residual(
-    sys: CascadeSystem,
-    pd: PerturbationData,
-    i: int,
-    s: int,
-    sample_points: Sequence[StateVector],
-    horizon: int = 20,
-) -> float:
-    """Residual sweep for a single (layer, index) pair."""
-    if not 1 <= i <= sys.n:
-        raise IndexError(f"layer {i} out of range 1..{sys.n}")
-    if not 1 <= s <= sys.dims[i - 1]:
-        raise IndexError(f"index {s} out of range 1..{sys.dims[i - 1]}")
-    return eigenfunction_residuals(sys, pd, sample_points, horizon)[(i, s)]
+        check_state(sys, x)
+        orbit = checked_orbit(sys, sys.A, x.stacked(), horizon, "Lin")
+        f = (orbit @ pd.P.T) @ sys.Vinv.T
+        resid = np.abs(f[1:] - lam_t * f[0]) / np.maximum(1.0, np.abs(f[0]))
+        worst = np.maximum(worst, resid.max(axis=0, initial=0.0))
+    return dict(zip(sys.modes, worst.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -243,71 +197,26 @@ def eigenfunction_residual(
 # ---------------------------------------------------------------------------
 
 
-def _expansion_rows(
-    sys: CascadeSystem, pd: PerturbationData, upto_layer: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked exact-eigenfunction rows for the subsystem of layers 1..upto_layer.
-
-    Row k of the returned matrix evaluates the k-th pert-composed principal
-    eigenfunction on the stacked subsystem state; the parallel vector holds
-    the matching eigenvalues.
-    """
-    dims = sys.dims[:upto_layer]
-    total = sum(dims)
-    offsets = np.concatenate(([0], np.cumsum(dims)))
-    P_sub = pd.as_matrix()[:total, :total]
-    rows = np.zeros((total, total), dtype=np.complex128)
-    lams = np.zeros(total, dtype=np.complex128)
-    for j in range(1, upto_layer + 1):
-        d = sys.eig_of(j)
-        rows[offsets[j - 1] : offsets[j], :] = d.Vinv @ P_sub[offsets[j - 1] : offsets[j], :]
-        lams[offsets[j - 1] : offsets[j]] = d.eigenvalues
-    return rows, lams
-
-
-def _sub_step(sys: CascadeSystem, upto_layer: int, w: list[np.ndarray]) -> list[np.ndarray]:
-    """One coupled step restricted to layers 1..upto_layer."""
-    out = []
-    for i in range(1, upto_layer + 1):
-        acc = sys.L[i - 1] @ w[i - 1]
-        for (ii, j), c in sys.couplings.items():
-            if ii == i and j <= upto_layer:
-                acc = acc + c @ w[j - 1]
-        out.append(acc)
-    return out
-
-
 def _laplace_terms(
-    sys: CascadeSystem,
-    row: np.ndarray,
-    upto_layer: int,
-    lam: complex,
-    x: StateVector,
-    N: int,
+    A_sub: np.ndarray, row: np.ndarray, lam: complex, x: np.ndarray, N: int
 ) -> np.ndarray:
-    """Terms lam^-t * row . stacked(orbit_t(x), layers 1..upto_layer), t < N.
+    """Terms lam^-t * row . orbit_t(x), t < N, of the subsystem operator A_sub.
 
-    Computed on the rescaled orbit w_(t+1) = step(w_t) / lam, so no explicit
-    lam^-t is formed; w stays bounded whenever every mode the row can see
-    has modulus <= |lam|.
+    Computed on the rescaled orbit of A_sub / lam, so no explicit lam^-t is
+    formed; it stays bounded whenever every mode the row can see has
+    modulus <= |lam|.
     """
-    terms = np.zeros(N, dtype=np.complex128)
-    w = [v.copy() for v in x.layers[:upto_layer]]
-    lam_inv = 1.0 / lam
     # Overflow of the rescaled orbit is an expected failure mode (a dropped
     # fast mode dominating); it is caught by the finite check and raised.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(N):
-            stacked = np.concatenate(w)
-            if not np.all(np.isfinite(stacked)):
-                raise DeflationIncompleteError(
-                    f"rescaled orbit overflowed at t={t}; a component faster "
-                    "than |lambda| dominates"
-                )
-            terms[t] = complex(row @ stacked)
-            if t + 1 < N:
-                w = [lam_inv * v for v in _sub_step(sys, upto_layer, w)]
-    return terms
+        w = stacked_orbit(A_sub / lam, x, N - 1)
+    finite = np.all(np.isfinite(w), axis=1)
+    if not np.all(finite):
+        raise DeflationIncompleteError(
+            f"rescaled orbit overflowed at t={int(np.argmin(finite))}; a component "
+            "faster than |lambda| dominates"
+        )
+    return w @ row
 
 
 def laplace_average(
@@ -349,26 +258,28 @@ def laplace_average(
             f"{sys.norms[i - 1]:.12g}; enable deflation to average here"
         )
 
-    dims = sys.dims[:i]
-    total = sum(dims)
-    offsets = np.concatenate(([0], np.cumsum(dims)))
-    raw_row = np.zeros(total, dtype=np.complex128)
-    raw_row[offsets[i - 1] : offsets[i]] = sys.eig_of(i).Vinv[s - 1]
+    # A is block lower triangular, so layers 1..i evolve on their own under
+    # its leading block.
+    k = sys.offsets[i]
+    idx = sys.offsets[i - 1] + s - 1
+    A_sub = sys.A[:k, :k]
+    x_sub = x.stacked()[:k]
+    row = sys.Vinv[idx, :k]
 
     if deflate:
-        rows, lams = _expansion_rows(sys, pd, i)
-        coeffs = np.linalg.solve(rows.T, raw_row)
-        keep = np.abs(lams) <= abs(lam) + PERIPHERAL_TOL
+        # Exact eigenfunctions of the subsystem, one per row.
+        rows = sys.Vinv[:k, :k] @ pd.P[:k, :k]
+        coeffs = np.linalg.solve(rows.T, row)
+        keep = np.abs(sys.lams[:k]) <= abs(lam) + PERIPHERAL_TOL
         row = (coeffs * keep) @ rows
-        idx = offsets[i - 1] + s - 1
-        phi_at_x = rows @ np.concatenate(x.layers[:i])
+        phi_at_x = rows @ x_sub
         expected = complex(phi_at_x[idx])
         others = keep.copy()
         others[idx] = False
         # Exact ceiling of the legitimate part: the kept non-target
         # components never exceed their t=0 magnitudes in modulus.
         ceiling = float(np.sum(np.abs(coeffs[others] * phi_at_x[others])))
-        terms = _laplace_terms(sys, row, i, lam, x, N)
+        terms = _laplace_terms(A_sub, row, lam, x_sub, N)
         errs = np.abs(terms - expected)
         if float(np.max(errs)) > 10.0 * ceiling + 1e3 * (1.0 + abs(expected)):
             raise DeflationIncompleteError(
@@ -378,20 +289,7 @@ def laplace_average(
             )
         return complex(np.mean(terms))
 
-    terms = _laplace_terms(sys, raw_row, i, lam, x, N)
-    return complex(np.mean(terms))
-
-
-def deflated_laplace_average(
-    sys: CascadeSystem,
-    pd: PerturbationData,
-    i: int,
-    s: int,
-    x: StateVector,
-    N: int,
-) -> complex:
-    """Laplace average with faster eigenfunction components projected out."""
-    return laplace_average(sys, pd, i, s, x, N, deflate=True)
+    return complex(np.mean(_laplace_terms(A_sub, row, lam, x_sub, N)))
 
 
 # ---------------------------------------------------------------------------
@@ -446,40 +344,26 @@ def check_eigenfunction_bounds(
     ratio at or below rel_floor (series converged to the rounding floor).
     """
     es = compute_error_series(sys, pd, x0, T)
-    trace = iterate_lin(sys, x0, T)
-    pert_x = apply_perturbation(pd, x0)
+    orbit = checked_orbit(sys, sys.A, x0.stacked(), T, "Lin")
+    t_grid = np.arange(T + 1)
+    layer_of = np.repeat(np.arange(sys.n), sys.dims)
+    # f(orbit_t) against lambda^t f(pert x), every (i, s) at once.
+    base_vals = sys.Vinv @ (pd.P @ x0.stacked())
+    diffs = np.abs(orbit @ sys.Vinv.T - sys.lams ** t_grid[:, None] * base_vals)
+    row_norms = np.linalg.norm(sys.Vinv, axis=1)
+    bound = row_norms * es.bound_decaying.T[:, layer_of] + slack
+    max_viol = float(np.max(diffs - bound))
 
-    max_viol = -float("inf")
-    decay_ratios: dict[tuple[int, int], float] = {}
-    decay_ok = True
-    any_pair = False
-    for i in range(1, sys.n + 1):
-        d = sys.eig_of(i)
-        base_vals = d.Vinv @ pert_x.layer(i)  # f(pert x) for all s
-        row_norms = np.linalg.norm(d.Vinv, axis=1)
-        lam_pow = np.ones(sys.dims[i - 1], dtype=np.complex128)
-        diffs = np.zeros((sys.dims[i - 1], T + 1))
-        for t in range(T + 1):
-            vals = d.Vinv @ trace[t].layer(i)
-            diffs[:, t] = np.abs(vals - lam_pow * base_vals)
-            lam_pow = lam_pow * d.eigenvalues
-        bound = row_norms[:, None] * es.bound_decaying[i - 1][None, :] + slack
-        max_viol = max(max_viol, float(np.max(diffs - bound)))
-        any_pair = True
+    ratios = diffs / np.asarray(sys.norms)[layer_of] ** t_grid[:, None]
+    peak = ratios.max(axis=0)
+    term = ratios[T]
+    r = np.divide(term, peak, out=np.zeros_like(term), where=peak > 0)
+    coupled = layer_of >= 1
+    decay_ok = not np.any(
+        coupled & (peak > slack) & (term > peak * decay_factor) & (term > rel_floor)
+    )
+    decay_ratios = {mode: float(r[m]) for m, mode in enumerate(sys.modes) if coupled[m]}
 
-        if i >= 2:
-            norm_pow = np.asarray(sys.norms[i - 1]) ** np.arange(T + 1)
-            ratios = diffs / norm_pow[None, :]
-            for s in range(1, sys.dims[i - 1] + 1):
-                peak = float(np.max(ratios[s - 1]))
-                term = float(ratios[s - 1, T])
-                r = term / peak if peak > 0 else 0.0
-                decay_ratios[(i, s)] = r
-                if peak > slack and term > peak * decay_factor and term > rel_floor:
-                    decay_ok = False
-
-    if not any_pair:
-        max_viol = 0.0
     bounds_ok = max_viol <= 0.0
     return EigenfunctionBoundReport(
         passed=bounds_ok and decay_ok,

@@ -17,12 +17,16 @@ together with an exact closed form for the coupled orbit:
     layer_i(t) = sum_{j<=i} (-1)^(i-j) D[(i, j)] L_j^t pert_j(x_1..x_j).
 
 All perturbation maps are stored as explicit matrix blocks, so applying,
-inverting, and exporting them is exact linear algebra.
+inverting, and exporting them is exact linear algebra. Stacked, the blocks
+form the block lower triangular map P, which conjugates the coupled
+operator to the decoupled one (P A = N P), and its exact inverse Q with
+blocks (-1)^(i-j) D[(i, j)], so the coupled orbit is x_t = Q N^t P x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -87,16 +91,27 @@ class PerturbationData:
     def as_matrix(self) -> np.ndarray:
         """Full perturbation map as one block lower-triangular matrix with
         identity diagonal blocks."""
-        total = sum(self.dims)
-        M = np.zeros((total, total), dtype=np.complex128)
-        offsets = np.concatenate(([0], np.cumsum(self.dims)))
-        for i in range(1, self.n + 1):
-            for j in range(1, i + 1):
-                M[
-                    offsets[i - 1] : offsets[i],
-                    offsets[j - 1] : offsets[j],
-                ] = self.pert_blocks[i - 1][j - 1]
-        return M
+        return self.P.copy()
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """The perturbation map on the stacked state."""
+        return linalg.block_matrix(
+            self.dims,
+            {
+                (i, j): b
+                for i, row in enumerate(self.pert_blocks, start=1)
+                for j, b in enumerate(row, start=1)
+            },
+        )
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """Exact inverse of P, formed without inversion: block (i, j) is
+        (-1)^(i-j) D[(i, j)]."""
+        return linalg.block_matrix(
+            self.dims, {(i, j): (-1.0) ** (i - j) * m for (i, j), m in self.d.items()}
+        )
 
     def d_norms(self) -> dict[tuple[int, int], float]:
         return {key: linalg.operator_norm(m) for key, m in self.d.items()}
@@ -173,25 +188,14 @@ def apply_perturbation(pd: PerturbationData, x: StateVector) -> StateVector:
     through unchanged."""
     if x.dims != pd.dims:
         raise DimensionMismatchError(f"state dims {x.dims} != system dims {pd.dims}")
-    out = []
-    for i in range(1, pd.n + 1):
-        acc = np.zeros(pd.dims[i - 1], dtype=np.complex128)
-        for j in range(1, i + 1):
-            acc = acc + pd.pert_blocks[i - 1][j - 1] @ x.layer(j)
-        out.append(acc)
-    return StateVector(tuple(out))
-
-
-def perturbed_layers(pd: PerturbationData, x: StateVector) -> list[np.ndarray]:
-    """[pert_1(x), ..., pert_n(x)] as plain arrays."""
-    return list(apply_perturbation(pd, x).layers)
+    return StateVector.unstack(pd.P @ x.stacked(), pd.dims)
 
 
 class ClosedFormSolution:
-    """Exact time-t evaluation of the coupled orbit via the perturbation data.
+    """Exact time-t evaluation of the coupled orbit, x_t = Q V (lam^t * Vinv P x).
 
-    Matrix powers go through the cached eigendecompositions, so each time
-    step costs the same regardless of t.
+    The powers act on the stacked eigenvalues, so each time step costs the
+    same regardless of t.
     """
 
     def __init__(self, sys: CascadeSystem, pd: PerturbationData):
@@ -199,57 +203,31 @@ class ClosedFormSolution:
             raise DimensionMismatchError("system and perturbation data disagree on dims")
         self.sys = sys
         self.pd = pd
-        self._power_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._QV = pd.Q @ sys.V
 
-    def _lambda_power(self, j: int, t: int) -> np.ndarray:
-        key = (j, t)
-        pw = self._power_cache.get(key)
-        if pw is None:
-            pw = self.sys.eig_of(j).eigenvalues ** t
-            self._power_cache[key] = pw
-        return pw
+    def _states(self, x: StateVector, ts: np.ndarray) -> np.ndarray:
+        """Stacked states at the times ts, one row per time."""
+        if x.dims != self.sys.dims:
+            raise DimensionMismatchError(
+                f"state dims {x.dims} != system dims {self.sys.dims}"
+            )
+        coeffs = self.sys.Vinv @ (self.pd.P @ x.stacked())
+        return (self.sys.lams ** ts[:, None] * coeffs) @ self._QV.T
 
     def at(self, x: StateVector, t: int) -> StateVector:
         """State of the coupled orbit at step t >= 0 from initial condition x."""
         if t < 0:
             raise ValueError(f"t must be >= 0, got {t}")
-        if x.dims != self.sys.dims:
-            raise DimensionMismatchError(
-                f"state dims {x.dims} != system dims {self.sys.dims}"
-            )
-        pert = perturbed_layers(self.pd, x)
-        coeffs = [self.sys.eig_of(j).Vinv @ pert[j - 1] for j in range(1, self.sys.n + 1)]
-        out = []
-        for i in range(1, self.sys.n + 1):
-            acc = np.zeros(self.sys.dims[i - 1], dtype=np.complex128)
-            for j in range(1, i + 1):
-                ej = self.sys.eig_of(j)
-                term = ej.V @ (self._lambda_power(j, t) * coeffs[j - 1])
-                sign = -1.0 if (i - j) % 2 else 1.0
-                acc = acc + sign * (self.pd.d[(i, j)] @ term)
-            out.append(acc)
-        return StateVector(tuple(out))
+        return StateVector.unstack(self._states(x, np.array([t]))[0], self.sys.dims)
 
     def trace(self, x: StateVector, T: int) -> list[StateVector]:
-        """[at(x, 0), ..., at(x, T)] with the perturbed layers computed once."""
+        """[at(x, 0), ..., at(x, T)] from one batch of powers."""
         if T < 0:
             raise ValueError(f"T must be >= 0, got {T}")
-        pert = perturbed_layers(self.pd, x)
-        n = self.sys.n
-        coeffs = [self.sys.eig_of(j).Vinv @ pert[j - 1] for j in range(1, n + 1)]
-        states = []
-        for t in range(T + 1):
-            out = []
-            for i in range(1, n + 1):
-                acc = np.zeros(self.sys.dims[i - 1], dtype=np.complex128)
-                for j in range(1, i + 1):
-                    ej = self.sys.eig_of(j)
-                    term = ej.V @ (ej.eigenvalues**t * coeffs[j - 1])
-                    sign = -1.0 if (i - j) % 2 else 1.0
-                    acc = acc + sign * (self.pd.d[(i, j)] @ term)
-                out.append(acc)
-            states.append(StateVector(tuple(out)))
-        return states
+        return [
+            StateVector.unstack(row, self.sys.dims)
+            for row in self._states(x, np.arange(T + 1))
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -11,28 +11,10 @@ import koopcascade as kc
 
 
 class TestStateVector:
-    def test_slice(self):
-        x = kc.StateVector.of([[1.0], [2.0], [3.0]])
-        np.testing.assert_array_equal(kc.slice_layer(x, 2), [2.0])
-
-    def test_slice_range_full(self):
-        x = kc.StateVector.of([[1.0], [2.0], [3.0]])
-        parts = kc.slice_range(x, 1, 3)
-        assert len(parts) == 3
-        np.testing.assert_array_equal(parts[0], [1.0])
-        np.testing.assert_array_equal(parts[2], [3.0])
-
-    def test_slice_range_single(self):
-        x = kc.StateVector.of([[1.0], [2.0], [3.0]])
-        (only,) = kc.slice_range(x, 2, 2)
-        np.testing.assert_array_equal(only, [2.0])
-
     def test_index_out_of_range(self):
         x = kc.StateVector.of([[1.0], [2.0]])
         with pytest.raises(IndexError):
-            kc.slice_layer(x, 3)
-        with pytest.raises(IndexError):
-            kc.slice_range(x, 2, 1)
+            x.layer(3)
 
     def test_arithmetic(self):
         x = kc.StateVector.of([[1.0, 2.0]])

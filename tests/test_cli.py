@@ -279,6 +279,11 @@ class TestTopLevel:
         # per-trial seeds differ, so the systems differ
         assert (out / "trial_0000" / "cascade.json").read_bytes() != \
             (out / "trial_0001" / "cascade.json").read_bytes()
+        # trial k is the standalone run at seed 45 + k
+        alone = tmp_path / "seed46"
+        assert run("repro-paper", "--out-dir", alone, "--seed", 46) == 0
+        for name in ("errors.csv", "laplace.csv", "verify_report.json"):
+            assert (out / "trial_0001" / name).read_bytes() == (alone / name).read_bytes()
 
     def test_no_command_shows_help(self, capsys):
         assert main([]) == 2

@@ -168,8 +168,8 @@ class TestEigenfunctionResidual:
 
     def test_scalar_pair_tight(self, scalar_pair, scalar_pair_pd):
         samples = [scalar_pair.random_state(np.random.default_rng(5)) for _ in range(10)]
-        r = kc.eigenfunction_residual(scalar_pair, scalar_pair_pd, 2, 1, samples, horizon=50)
-        assert r < 1e-10
+        res = kc.eigenfunction_residuals(scalar_pair, scalar_pair_pd, samples, horizon=50)
+        assert res[(2, 1)] < 1e-10
 
     def test_replica_all_pairs(self, replica):
         sys_, pd, _ = replica
@@ -177,10 +177,6 @@ class TestEigenfunctionResidual:
         res = kc.eigenfunction_residuals(sys_, pd, samples, horizon=50)
         assert len(res) == sum(sys_.dims)
         assert max(res.values()) < 1e-8
-
-    def test_bad_indices(self, scalar_pair, scalar_pair_pd):
-        with pytest.raises(IndexError):
-            kc.eigenfunction_residual(scalar_pair, scalar_pair_pd, 1, 0, [], 5)
 
 
 class TestEigenfunctionBounds:
@@ -262,7 +258,9 @@ class TestDeflatedLaplaceAverage:
         x = kc.StateVector.of([[1.0], [1.0]])
         for N in (10, 200):
             plain = kc.laplace_average(scalar_pair, scalar_pair_pd, 2, 1, x, N)
-            deflated = kc.deflated_laplace_average(scalar_pair, scalar_pair_pd, 2, 1, x, N)
+            deflated = kc.laplace_average(
+                scalar_pair, scalar_pair_pd, 2, 1, x, N, deflate=True
+            )
             assert deflated == pytest.approx(plain, rel=1e-10, abs=1e-12)
 
     def test_converges_where_raw_average_diverges(self, diag_pair, diag_pair_pd):
@@ -287,7 +285,7 @@ class TestDeflatedLaplaceAverage:
         assert raw_errs[-1] > raw_errs[0]
 
         for N in (5, 10, 20):
-            avg = kc.deflated_laplace_average(diag_pair, diag_pair_pd, 2, 2, x, N)
+            avg = kc.laplace_average(diag_pair, diag_pair_pd, 2, 2, x, N, deflate=True)
             assert avg == pytest.approx(target, rel=1e-6, abs=1e-9)
 
     def test_decoupled_interior_exact(self):
@@ -296,14 +294,14 @@ class TestDeflatedLaplaceAverage:
         x = sys_.random_state(np.random.default_rng(10))
         f = kc.product_eigenfunction(sys_, [0, 2])
         for N in (1, 7, 40):
-            avg = kc.deflated_laplace_average(sys_, pd, 2, 2, x, N)
+            avg = kc.laplace_average(sys_, pd, 2, 2, x, N, deflate=True)
             assert avg == pytest.approx(f(x), rel=1e-10, abs=1e-12)
 
     def test_noise_takeover_raises(self, diag_pair, diag_pair_pd):
         # rounding noise grows like (0.9 / 0.2)^t; deep averages must refuse
         x = kc.StateVector.of([[1.0], [1.0, 1.0]])
         with pytest.raises(kc.DeflationIncompleteError):
-            kc.deflated_laplace_average(diag_pair, diag_pair_pd, 2, 2, x, 400)
+            kc.laplace_average(diag_pair, diag_pair_pd, 2, 2, x, 400, deflate=True)
 
 
 class TestPeripheralTolerance:

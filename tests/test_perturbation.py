@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import koopcascade as kc
-from koopcascade.perturbation import perturbed_layers
 
 
 def geometric_sum_direct(B, lam_i, lam_j, t):
@@ -218,6 +217,20 @@ class TestPerturbationJson:
         row2 = kc.matrix_from_json(obj["pert"][1])
         np.testing.assert_allclose(row2, [[2.5, 1.0]], atol=1e-12)
 
-    def test_perturbed_layers_helper(self, scalar_pair_pd):
-        layers = perturbed_layers(scalar_pair_pd, kc.StateVector.of([[1.0], [1.0]]))
-        np.testing.assert_allclose(layers[1], [3.5], atol=1e-12)
+
+class TestStackedOperators:
+    def test_scalar_pair_exact(self, scalar_pair, scalar_pair_pd):
+        A, N = scalar_pair.A, scalar_pair.N
+        P, Q = scalar_pair_pd.P, scalar_pair_pd.Q
+        np.testing.assert_array_equal(A, [[0.5, 0.0], [1.0, 0.9]])
+        np.testing.assert_array_equal(N, [[0.5, 0.0], [0.0, 0.9]])
+        np.testing.assert_array_equal(P, [[1.0, 0.0], [2.5, 1.0]])
+        np.testing.assert_array_equal(Q, [[1.0, 0.0], [-2.5, 1.0]])
+        np.testing.assert_array_equal(P @ A, N @ P)
+        np.testing.assert_array_equal(Q @ P, np.eye(2))
+
+    def test_replica_conjugation(self, replica):
+        sys_, pd, _ = replica
+        P, A = pd.P, sys_.A
+        gap = np.linalg.norm(P @ A - sys_.N @ P, 2)
+        assert gap <= 1e-12 * np.linalg.norm(P, 2) * np.linalg.norm(A, 2)
