@@ -1,4 +1,4 @@
-"""Constructive spectral analysis of chained cascaded dynamical systems.
+"""Constructive spectral analysis of cascaded dynamical systems.
 
 The library builds and validates layered (block lower triangular) linear
 cascades, computes the closed-form initial-condition perturbation map that
@@ -46,7 +46,6 @@ from .errors import (
     DimensionMismatchError,
     GenerationFailedError,
     NewtonDivergenceError,
-    NotChainedError,
     NotDiagonalizableError,
     NotPeripheralError,
     OrbitOverflowError,
@@ -128,7 +127,6 @@ __all__ = [
     "DimensionMismatchError",
     "GenerationFailedError",
     "NewtonDivergenceError",
-    "NotChainedError",
     "NotDiagonalizableError",
     "NotPeripheralError",
     "OrbitOverflowError",

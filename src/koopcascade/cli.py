@@ -561,25 +561,29 @@ def _repro_single(seed: int, out_dir: Path, args) -> int:
     _write_json(out_dir / "x0.json", state_to_json(x0))
     _write_json(out_dir / "perturbation.json", perturbation_to_json(pd))
 
-    es = compute_error_series(system, pd, x0, cfg.horizon)
-    csv_path = out_dir / "errors.csv"
-    error_series_to_csv(es, csv_path)
-    _write_plot_script(out_dir, csv_path.name, system.n)
-
     conj_spec = {"kind": "polynomialDiagonal", "a": [args.cubic] * cfg.layers}
-    _write_json(out_dir / "conjugacy.json", conj_spec)
     profile = TolProfile.named(cfg.tol_profile)
-    results = run_checks(
-        system, pd, x0, cfg.horizon, list(ALL_CHECKS), profile, conj_spec,
-        seed=seed,
-    )
-    overall = all(r["passed"] for r in results.values())
-    _write_json(out_dir / "verify_report.json", {
-        "validation": report.to_json(), "checks": results, "overall": overall,
-        "tol_profile": profile.name, "horizon": cfg.horizon,
-    })
+    try:
+        es = compute_error_series(system, pd, x0, cfg.horizon)
+        csv_path = out_dir / "errors.csv"
+        error_series_to_csv(es, csv_path)
+        _write_plot_script(out_dir, csv_path.name, system.n)
 
-    write_eigs_tables(system, pd, out_dir, seed)
+        _write_json(out_dir / "conjugacy.json", conj_spec)
+        results = run_checks(
+            system, pd, x0, cfg.horizon, list(ALL_CHECKS), profile, conj_spec,
+            seed=seed,
+        )
+        overall = all(r["passed"] for r in results.values())
+        _write_json(out_dir / "verify_report.json", {
+            "validation": report.to_json(), "checks": results, "overall": overall,
+            "tol_profile": profile.name, "horizon": cfg.horizon,
+        })
+
+        write_eigs_tables(system, pd, out_dir, seed)
+    except OrbitOverflowError as exc:
+        print(f"orbit overflow: {exc}", file=_sys.stderr)
+        return EXIT_OVERFLOW
 
     files = sorted(p for p in out_dir.iterdir() if p.is_file() and p.name != "manifest.json")
     write_manifest(out_dir, cfg.to_json(), {k: v["passed"] for k, v in results.items()}, files)
@@ -611,7 +615,7 @@ def cmd_repro(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="koopcascade",
-        description="Chained-cascade spectral analysis: generation, simulation, "
+        description="Cascade spectral analysis: generation, simulation, "
         "verification, eigenfunction sweeps.",
     )
     parser.set_defaults(func=None)

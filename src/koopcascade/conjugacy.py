@@ -34,12 +34,15 @@ def _invert_monotone_cubic(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     increasing).
 
     Newton with a bisection safeguard on the bracket [0, w] (signs included);
-    residual tolerance NEWTON_TOL * (1 + |w|). Coordinates with a = 0 are
-    exact from the first iterate, u = w.
+    residual tolerance NEWTON_TOL * (1 + |w|). The start is w / (1 + a*w**2),
+    or cbrt(w / a) where a*w**2 > 1, where the cubic term dominates; both lie
+    in the bracket. Coordinates with a = 0 are exact from the first iterate,
+    u = w.
     """
     lo = np.minimum(w, 0.0)
     hi = np.maximum(w, 0.0)
-    u = w / (1.0 + a * w * w)
+    cubic = a * w * w > 1.0
+    u = np.where(cubic, np.cbrt(w / np.where(cubic, a, 1.0)), w / (1.0 + a * w * w))
     tol = NEWTON_TOL * (1.0 + np.abs(w))
     for _ in range(NEWTON_MAX_ITER):
         f = u + a * u**3 - w

@@ -32,10 +32,6 @@ class ResonantPairError(CascadeError):
     denominator 1 - mu/lam is not safely invertible."""
 
 
-class NotChainedError(CascadeError):
-    """Operation requires a chained cascade (couplings only on the subdiagonal)."""
-
-
 class ConditionsNotMetError(CascadeError):
     """Operation requires a cascade that passed condition validation."""
 

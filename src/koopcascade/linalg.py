@@ -68,9 +68,6 @@ class EigDecomposition:
         """L**t as V diag(lambda**t) Vinv; t may be negative."""
         return (self.V * self.eigenvalues**t) @ self.Vinv
 
-    def inverse_matrix(self) -> np.ndarray:
-        return self.matrix_power(-1)
-
 
 def _eigenvalue_order(lams: np.ndarray) -> np.ndarray:
     # lexsort uses the LAST key as primary.

@@ -1,11 +1,12 @@
 """Orbit iteration for coupled and decoupled cascades, plus error series.
 
-For a validated chained cascade with perturbation data, the coupled orbit
-from x and the decoupled orbit from pert(x) converge to each other faster
-than each layer's own decay rate. This module measures that: per layer,
-the absolute error, the error relative to ||L_i||^t, the exact decaying
-upper bound sum_{j<i} ||D_ij|| ||L_j^t pert_j(x)||, and the constant
-envelope (sum_{j<i} ||D_ij|| ||pert_j(x)||) ||L_i||^t.
+For a validated cascade with any lower-triangular coupling and its
+perturbation map P (inverse Q), the coupled orbit from x and the decoupled
+orbit from P x converge to each other faster than each layer's own decay
+rate. This module measures that: per layer, the absolute error, the error
+relative to ||L_i||^t, the exact decaying upper bound
+sum_{j<i} ||Q_ij|| ||L_j^t (P x)_j||, and the constant envelope
+(sum_{j<i} ||Q_ij|| ||(P x)_j||) ||L_i||^t.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def compute_error_series(
 ) -> ErrorSeries:
     """Simulate both orbits and assemble all four series.
 
-    The decaying bound is sum_{j<i} ||D_ij|| ||L_j^t pert_j(x)||, with the
+    The decaying bound is sum_{j<i} ||Q_ij|| ||L_j^t (P x)_j||, with the
     propagated perturbed layers V (lam^t * Vinv P x) and exactly P x at t = 0.
     """
     lin, nom, px = _orbit_pair(sys, pd, x0, T)

@@ -1,26 +1,26 @@
-"""Initial-condition perturbation maps for chained cascades, in closed form.
+"""Perturbation map of a cascade and its exact inverse, in closed form.
 
-The construction rests on one identity: for diagonal spectra lam (rows)
-and mu (columns) with 1 - mu[m]/lam[l] bounded away from zero,
+A cascade has the coupled operator A, block lower triangular with layers
+L_i on the diagonal and couplings C_ij (j < i, any pattern, missing ones
+zero) below it, and the decoupled operator N = blockdiag(L_i). The
+perturbation map P is block lower triangular with identity diagonal
+blocks and conjugates one to the other, P A = N P; its exact inverse Q
+satisfies A Q = Q N. Block by block these are Sylvester equations in the
+layer pair (i, k):
+
+    L_i P_ik - P_ik L_k = sum_{j=k+1..i} P_ij C_jk    (k = i-1 down to 1)
+    Q_ik L_k - L_i Q_ik = sum_{j=k..i-1} C_ij Q_jk
+
+They need only disjoint layer spectra. In eigen-coordinates every entry is
+one division by lam_l - mu_m, the denominator of the two-sided geometric
+sum identity
 
     sum_{k=0}^{t-1} Lam^{-k} B Mu^k  =  Bt - Lam^{-t} Bt Mu^t,
 
-where Bt[l, m] = B[l, m] / (1 - mu[m]/lam[l]). Running that identity up
-the chain produces, per layer pair (i, j), matrices D[(i, j)] and the
-multilinear perturbation maps
+where Bt[l, m] = B[l, m] / (1 - mu[m]/lam[l]). The coupled orbit is then
+x_t = Q N^t P x exactly; with D[(i, j)] = (-1)^(i-j) Q_ij it reads
 
-    pert_1(x_1) = x_1
-    pert_i(x_1..x_i) = x_i + sum_{j<i} (-1)^(i-1-j) D[(i, j)] pert_j(x_1..x_j)
-
-together with an exact closed form for the coupled orbit:
-
-    layer_i(t) = sum_{j<=i} (-1)^(i-j) D[(i, j)] L_j^t pert_j(x_1..x_j).
-
-All perturbation maps are stored as explicit matrix blocks, so applying,
-inverting, and exporting them is exact linear algebra. Stacked, the blocks
-form the block lower triangular map P, which conjugates the coupled
-operator to the decoupled one (P A = N P), and its exact inverse Q with
-blocks (-1)^(i-j) D[(i, j)], so the coupled orbit is x_t = Q N^t P x.
+    layer_i(t) = sum_{j<=i} (-1)^(i-j) D[(i, j)] L_j^t (P x)_j.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .cascade import CascadeSystem, ConditionReport, StateVector, validate_condi
 from .errors import (
     ConditionsNotMetError,
     DimensionMismatchError,
-    NotChainedError,
     ResonantPairError,
 )
 
@@ -67,12 +66,12 @@ def geometric_sum_solve(B, lam_rows, lam_cols) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PerturbationData:
-    """Coupling-correction matrices and perturbation blocks for one system.
+    """Perturbation map P and its inverse Q for one system, by blocks.
 
-    d maps (i, j) with 1 <= j <= i <= n to D[(i, j)] (D[(i, i)] is the
-    identity); ctilde holds the geometric-sum-scaled couplings for j < i;
-    pert_blocks[i-1][j-1] is the block of pert_i acting on layer j, with
-    the diagonal block an exact identity.
+    pert_blocks[i-1][j-1] is block (i, j) of P and d maps (i, j) with
+    1 <= j <= i <= n to D[(i, j)] = (-1)^(i-j) Q_ij; both diagonals are
+    exact identities. ctilde holds Lam_i V_i^-1 D[(i, j)] V_j for j < i,
+    kept for the JSON export.
     """
 
     dims: tuple[int, ...]
@@ -85,7 +84,7 @@ class PerturbationData:
         return len(self.dims)
 
     def pert_row_matrix(self, i: int) -> np.ndarray:
-        """Blocks of pert_i concatenated into one matrix of shape (d_i, d_1+..+d_i)."""
+        """Block row i of P, (P_i1 .. P_ii), as one matrix of shape (d_i, d_1+..+d_i)."""
         return np.hstack(self.pert_blocks[i - 1])
 
     def as_matrix(self) -> np.ndarray:
@@ -120,13 +119,8 @@ class PerturbationData:
 def compute_perturbation(
     sys: CascadeSystem, report: ConditionReport | None = None
 ) -> PerturbationData:
-    """Build all correction matrices and perturbation blocks for a chained
-    cascade that passed condition validation."""
-    if not sys.chained:
-        raise NotChainedError(
-            "perturbation construction requires a chained cascade "
-            "(couplings only on the subdiagonal)"
-        )
+    """Solve P A = N P and A Q = Q N block by block for a cascade that
+    passed condition validation, whatever its lower-triangular coupling."""
     if report is None:
         report = validate_conditions(sys)
     if not report.overall:
@@ -134,52 +128,47 @@ def compute_perturbation(
             "cascade failed condition validation; see the ConditionReport"
         )
 
-    n = sys.n
-    d: dict[tuple[int, int], np.ndarray] = {
-        (i, i): np.eye(sys.dims[i - 1], dtype=np.complex128) for i in range(1, n + 1)
-    }
-    ctilde: dict[tuple[int, int], np.ndarray] = {}
-    blocks: list[list[np.ndarray]] = []
-    if n >= 1:
-        blocks.append([np.eye(sys.dims[0], dtype=np.complex128)])
+    def sylvester(i: int, k: int, R: np.ndarray) -> np.ndarray:
+        """X with L_i X - X L_k = R, one division per eigen-coordinate entry."""
+        ei, ek = sys.eig_of(i), sys.eig_of(k)
+        lam = ei.eigenvalues
+        Rh = ei.Vinv @ R @ ek.V
+        return ei.V @ geometric_sum_solve(Rh / lam[:, None], lam, ek.eigenvalues) @ ek.Vinv
 
+    A, off, n = sys.A, sys.offsets, sys.n
+    P = np.eye(off[-1], dtype=np.complex128)
+    Q = P.copy()
     for i in range(2, n + 1):
-        ei = sys.eig_of(i)
-        L_inv = ei.inverse_matrix()
-        C_chain = sys.coupling(i, i - 1)
-        if C_chain is None:
-            C_chain = np.zeros((sys.dims[i - 1], sys.dims[i - 2]), dtype=np.complex128)
-        for j in range(1, i):
-            ej = sys.eig_of(j)
-            core = ei.Vinv @ C_chain @ d[(i - 1, j)] @ ej.V
-            ct = geometric_sum_solve(core, ei.eigenvalues, ej.eigenvalues)
-            ctilde[(i, j)] = ct
-            d[(i, j)] = L_inv @ ei.V @ ct @ ej.Vinv
+        ri = slice(off[i - 1], off[i])
+        for k in range(i - 1, 0, -1):
+            ck = slice(off[k - 1], off[k])
+            P[ri, ck] = sylvester(i, k, P[ri, off[k] : off[i]] @ A[off[k] : off[i], ck])
+            Q[ri, ck] = sylvester(
+                i, k, -A[ri, off[k - 1] : off[i - 1]] @ Q[off[k - 1] : off[i - 1], ck]
+            )
+    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
+        raise ConditionsNotMetError("non-finite perturbation data")
 
-        row: list[np.ndarray] = []
-        for k in range(1, i):
-            acc = np.zeros((sys.dims[i - 1], sys.dims[k - 1]), dtype=np.complex128)
-            for j in range(k, i):
-                sign = -1.0 if (i - 1 - j) % 2 else 1.0
-                acc += sign * (d[(i, j)] @ blocks[j - 1][k - 1])
-            row.append(acc)
-        row.append(np.eye(sys.dims[i - 1], dtype=np.complex128))
-        blocks.append(row)
+    def block(M: np.ndarray, i: int, j: int) -> np.ndarray:
+        return M[off[i - 1] : off[i], off[j - 1] : off[j]]
 
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            if not np.all(np.isfinite(d[(i, j)])) or not np.all(
-                np.isfinite(blocks[i - 1][j - 1])
-            ):
-                raise ConditionsNotMetError(
-                    f"non-finite perturbation data at layer pair ({i}, {j})"
-                )
-
+    d = {
+        (i, j): (-1.0) ** (i - j) * block(Q, i, j)
+        for i in range(1, n + 1)
+        for j in range(1, i + 1)
+    }
+    ctilde = {}
+    for (i, j), m in d.items():
+        if j < i:
+            ei = sys.eig_of(i)
+            ctilde[(i, j)] = ei.eigenvalues[:, None] * (ei.Vinv @ m @ sys.eig_of(j).V)
     return PerturbationData(
         dims=sys.dims,
         d=d,
         ctilde=ctilde,
-        pert_blocks=tuple(tuple(row) for row in blocks),
+        pert_blocks=tuple(
+            tuple(block(P, i, j) for j in range(1, i + 1)) for i in range(1, n + 1)
+        ),
     )
 
 

@@ -45,6 +45,13 @@ def resonant_spec(tmp_path):
     return path
 
 
+@pytest.fixture()
+def general_spec(tmp_path, general_triple):
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps(kc.cascade_to_json(general_triple)))
+    return path
+
+
 class TestGenerate:
     def test_writes_valid_spec(self, tmp_path):
         out = tmp_path / "gen"
@@ -196,6 +203,17 @@ class TestVerify:
                    "--conjugacy", conj_path, "--out-dir", out) == 0
 
 
+    def test_general_coupling_passes(self, tmp_path, general_spec):
+        out = tmp_path / "vg"
+        assert run("verify", "--spec", general_spec, "--horizon", 200,
+                   "--out-dir", out) == 0
+        rep = json.loads((out / "verify_report.json").read_text())
+        assert set(rep["checks"]) == {
+            "error-bounds", "asymptotic-equivalence",
+            "eigenfunction-bounds", "eigenfunction-exactness",
+        }
+
+
 class TestEigs:
     def test_decoupled_residuals_zero_averages_exact(self, tmp_path, decoupled_spec):
         out = tmp_path / "eigs0"
@@ -238,6 +256,13 @@ class TestEigs:
         )
 
 
+    def test_general_coupling(self, tmp_path, general_spec):
+        out = tmp_path / "eg"
+        assert run("eigs", "--spec", general_spec, "--out-dir", out) == 0
+        inv = json.loads((out / "eigenfunctions.json").read_text())
+        assert len(inv["entries"]) == 3
+
+
 class TestReproPaper:
     def test_full_run_passes_and_is_deterministic(self, tmp_path):
         a, b = tmp_path / "r1", tmp_path / "r2"
@@ -250,6 +275,12 @@ class TestReproPaper:
         manifest = json.loads((a / "manifest.json").read_text())
         assert manifest["files"]["errors.csv"]["sha256"] == \
             json.loads((b / "manifest.json").read_text())["files"]["errors.csv"]["sha256"]
+
+    def test_orbit_overflow_exit_4(self, tmp_path, capsys):
+        # 20 layers: |P x0| is about 1e23, past the absolute overflow limit
+        assert run("repro-paper", "--layers", 20, "--horizon", 5,
+                   "--out-dir", tmp_path / "deep") == 4
+        assert "orbit overflow" in capsys.readouterr().err
 
     def test_log_rel_err_decreases_linearly(self, tmp_path):
         out = tmp_path / "r3"

@@ -45,6 +45,16 @@ class TestPolynomialConjugacy:
         assert x.layer(1)[0] == pytest.approx(oracle, abs=1e-10)
         assert x.layer(1)[0] == pytest.approx(2.0, abs=1e-10)
 
+    def test_inverse_converges_far_from_origin(self):
+        # |w| = 4.1e30 is what a 12-layer repro-paper run feeds the inverse;
+        # from w / (1 + a w^2) Newton would need about 115 steps
+        w = np.array([4.1e30, -4.1e30, 1e6, -1e6, 0.5, -0.5, 0.0])
+        conj = kc.polynomial_conjugacy([0.1])
+        u = conj.inverse(kc.StateVector.of([w])).layer(1)
+        residual = np.abs(u.real + 0.1 * u.real**3 - w)
+        assert np.all(residual <= 1e-15 * (1.0 + np.abs(w)))
+        assert np.all(u.imag == 0.0)
+
     def test_round_trip_on_unit_ball(self, cubic_conj):
         rng = np.random.default_rng(1)
         states = []
