@@ -32,8 +32,8 @@ from .conjugacy import (
     check_nonlinear_eigenfunction_decay,
     check_nonlinear_equivalence,
     conjugacy_from_json,
+    conjugated_orbit,
     identity_conjugacy,
-    iterate_nominal_nonlinear,
     iterate_nonlinear,
     polynomial_conjugacy,
     round_trip_error,
@@ -115,8 +115,8 @@ __all__ = [
     "check_nonlinear_eigenfunction_decay",
     "check_nonlinear_equivalence",
     "conjugacy_from_json",
+    "conjugated_orbit",
     "identity_conjugacy",
-    "iterate_nominal_nonlinear",
     "iterate_nonlinear",
     "polynomial_conjugacy",
     "round_trip_error",

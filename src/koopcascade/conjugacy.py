@@ -7,11 +7,16 @@ tau o Nom o tau^-1, its perturbation map is tau o pert o tau^-1, and
 eigenfunctions transfer as psi o tau^-1. The stock conjugacy is a
 per-coordinate monotone cubic u -> u + a*u^3 applied to real and
 imaginary parts, inverted by safeguarded Newton.
+
+Every nonlinear orbit comes from one loop on stacked arrays,
+conjugated_orbit, which keeps the tau^-1 of each state it solved; both
+checks are array code over its output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,9 +24,8 @@ import numpy as np
 from . import linalg
 from .cascade import CascadeSystem, StateVector
 from .errors import DimensionMismatchError, NewtonDivergenceError
-from .observables import principal_eigenfunction
-from .orbits import OrbitTrace, iterate_lin, lin_step, nom_step
-from .perturbation import PerturbationData, apply_perturbation
+from .orbits import OrbitTrace, check_state, checked_orbit
+from .perturbation import PerturbationData
 
 CONJ_TOL = 1e-10
 NEWTON_TOL = 1e-12
@@ -60,12 +64,36 @@ def _invert_monotone_cubic(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     )
 
 
+def _cubic(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """u -> u + c*u**3 on the real and imaginary parts of stacked states
+    (coordinates along the last axis)."""
+    re, im = v.real, v.imag
+    return (re + c * re**3) + 1j * (im + c * im**3)
+
+
+def _cubic_inverse(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Inverse of _cubic: one safeguarded Newton solve over all real and
+    imaginary parts."""
+    u = _invert_monotone_cubic(np.stack([v.real, v.imag]), c)
+    return u[0] + 1j * u[1]
+
+
+def _coords(a: tuple[float, ...], dims: Sequence[int]) -> np.ndarray:
+    """Per-layer coefficients spread over the stacked coordinates."""
+    if len(dims) != len(a):
+        raise DimensionMismatchError(
+            f"state has {len(dims)} layers, conjugacy expects {len(a)}"
+        )
+    return np.repeat(a, dims)
+
+
 @dataclass(frozen=True)
 class Conjugacy:
     """Forward/inverse coordinate change on the full state space.
 
     Fixes the origin; round trips on the working ball stay within
-    CONJ_TOL * (1 + composite norm).
+    CONJ_TOL * (1 + composite norm). forward and inverse act on one
+    StateVector; stacked_maps gives the same maps on stacked arrays.
     """
 
     kind: str
@@ -73,6 +101,14 @@ class Conjugacy:
     inverse: Callable[[StateVector], StateVector]
     inverse_mode: str
     cubic_coeffs: tuple[float, ...] | None = None
+
+    def stacked_maps(self, dims: Sequence[int]) -> tuple[Callable, Callable]:
+        """(tau, tau^-1) on stacked states of a cascade with these layer
+        dims, coordinates along the last axis."""
+        if self.cubic_coeffs is None:
+            return (lambda v: v), (lambda v: v)
+        c = _coords(self.cubic_coeffs, dims)
+        return partial(_cubic, c=c), partial(_cubic_inverse, c=c)
 
     def to_json(self) -> dict:
         if self.kind == "identity":
@@ -98,30 +134,16 @@ def polynomial_conjugacy(coeffs: Sequence[float]) -> Conjugacy:
     if any(not np.isfinite(c) or c < 0 for c in a):
         raise ValueError(f"cubic coefficients must be finite and >= 0, got {a}")
 
-    def coeffs_for(x: StateVector) -> np.ndarray:
-        if len(x) != len(a):
-            raise DimensionMismatchError(
-                f"state has {len(x)} layers, conjugacy expects {len(a)}"
-            )
-        return np.repeat(a, x.dims)
+    def on_states(stacked_map):
+        def apply(x: StateVector) -> StateVector:
+            return StateVector.unstack(stacked_map(x.stacked(), _coords(a, x.dims)), x.dims)
 
-    def forward(x: StateVector) -> StateVector:
-        c = coeffs_for(x)
-        v = x.stacked()
-        re, im = v.real, v.imag
-        return StateVector.unstack((re + c * re**3) + 1j * (im + c * im**3), x.dims)
-
-    def inverse(y: StateVector) -> StateVector:
-        """One safeguarded Newton solve over all real and imaginary parts."""
-        c = coeffs_for(y)
-        v = y.stacked()
-        u = _invert_monotone_cubic(np.concatenate([v.real, v.imag]), np.concatenate([c, c]))
-        return StateVector.unstack(u[: v.size] + 1j * u[v.size :], y.dims)
+        return apply
 
     return Conjugacy(
         kind="polynomialDiagonal",
-        forward=forward,
-        inverse=inverse,
+        forward=on_states(_cubic),
+        inverse=on_states(_cubic_inverse),
         inverse_mode="closedForm" if all(c == 0 for c in a) else "newton",
         cubic_coeffs=a,
     )
@@ -152,41 +174,39 @@ def round_trip_error(
 @dataclass(frozen=True, eq=False)
 class NonlinearCascade:
     """Linear cascade viewed through a conjugacy: one step is
-    tau(Lin(tau^-1(y)))."""
+    tau(Lin(tau^-1(y))), the nominal step tau(Nom(tau^-1(y)))."""
 
     base: CascadeSystem
     conj: Conjugacy
 
-    def step(self, y: StateVector) -> StateVector:
-        return self.conj.forward(lin_step(self.base, self.conj.inverse(y)))
 
-    def nominal_step(self, y: StateVector) -> StateVector:
-        return self.conj.forward(nom_step(self.base, self.conj.inverse(y)))
+def conjugated_orbit(
+    nl: NonlinearCascade, M: np.ndarray, y0: np.ndarray, T: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit of y[t+1] = tau(M tau^-1(y[t])) from the stacked state y0, with
+    M = base.A (coupled) or base.N (nominal).
 
-    def perturb(self, pd: PerturbationData, y: StateVector) -> StateVector:
-        """tau o pert o tau^-1, the nonlinear initial-condition perturbation."""
-        return self.conj.forward(apply_perturbation(pd, self.conj.inverse(y)))
-
-
-def _iterate_steps(step, y0: StateVector, T: int, kind: str) -> OrbitTrace:
+    Returns Y, the (T+1, dim) orbit, and X with X[t] = tau^-1(Y[t]).
+    """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    states = [y0]
-    y = y0
-    for _ in range(T):
-        y = step(y)
-        states.append(y)
-    return OrbitTrace(states=tuple(states), kind=kind)
+    forward, inverse = nl.conj.stacked_maps(nl.base.dims)
+    Y = np.empty((T + 1, y0.size), dtype=np.complex128)
+    X = np.empty_like(Y)
+    Y[0] = y0
+    for t in range(T):
+        X[t] = inverse(Y[t])
+        Y[t + 1] = forward(M @ X[t])
+    X[T] = inverse(Y[T])
+    return Y, X
 
 
 def iterate_nonlinear(nl: NonlinearCascade, y0: StateVector, T: int) -> OrbitTrace:
-    """Coupled nonlinear orbit, stepped one conjugated step at a time."""
-    return _iterate_steps(nl.step, y0, T, "NonLin")
-
-
-def iterate_nominal_nonlinear(nl: NonlinearCascade, y0: StateVector, T: int) -> OrbitTrace:
-    """Nominal (decoupled-through-the-conjugacy) nonlinear orbit."""
-    return _iterate_steps(nl.nominal_step, y0, T, "NominalNonlinear")
+    """Coupled nonlinear orbit for t = 0..T."""
+    check_state(nl.base, y0)
+    Y, _ = conjugated_orbit(nl, nl.base.A, y0.stacked(), T)
+    states = (y0,) + tuple(StateVector.unstack(y, y0.dims) for y in Y[1:])
+    return OrbitTrace(states=states, kind="NonLin")
 
 
 @dataclass(frozen=True)
@@ -223,27 +243,21 @@ def check_nonlinear_equivalence(
 ) -> NonlinearEquivalenceReport:
     """Verify that the coupled nonlinear orbit and the perturbed nominal
     nonlinear orbit converge to each other over the horizon."""
-    coupled = iterate_nonlinear(nl, y0, T)
-    nominal = iterate_nominal_nonlinear(nl, nl.perturb(pd, y0), T)
-    errors = tuple(
-        linalg.composite_norm(coupled[t] - nominal[t]) for t in range(T + 1)
-    )
-    peak = max(errors)
-    ratio = errors[-1] / peak if peak > 0 else 0.0
-    entered = next(
-        (
-            t
-            for t in range(T + 1)
-            if linalg.composite_norm(coupled[t]) <= WORKING_BALL_RADIUS
-        ),
-        None,
-    )
+    sys = nl.base
+    coupled, X = conjugated_orbit(nl, sys.A, y0.stacked(), T)
+    forward, _ = nl.conj.stacked_maps(sys.dims)
+    nominal, _ = conjugated_orbit(nl, sys.N, forward(pd.P @ X[0]), T)
+    errors = linalg.layer_norms(coupled - nominal, sys.offsets).sum(axis=1)
+    peak = float(errors.max())
+    ratio = float(errors[-1]) / peak if peak > 0 else 0.0
+    norms = linalg.layer_norms(coupled, sys.offsets).sum(axis=1)
+    inside = np.flatnonzero(norms <= WORKING_BALL_RADIUS)
     return NonlinearEquivalenceReport(
         passed=ratio < decay_factor or peak == 0.0,
-        errors=errors,
+        errors=tuple(errors.tolist()),
         terminal_ratio=ratio,
         decay_factor=decay_factor,
-        entered_ball_at=entered,
+        entered_ball_at=int(inside[0]) if inside.size else None,
     )
 
 
@@ -283,57 +297,45 @@ class NonlinearEigenfunctionReport:
 def check_nonlinear_eigenfunction_decay(
     nl: NonlinearCascade,
     pd: PerturbationData,
-    i: int,
-    s: int,
     y0: StateVector,
     T: int,
     decay_factor: float = 1e-3,
     agreement_horizon: int = 50,
     agreement_tol: float = 1e-8,
-) -> NonlinearEigenfunctionReport:
-    """Track (psi o tau^-1) along the nonlinear orbit against its eigenvalue
-    prediction at the perturbed start, relative to the layer norm decay.
+) -> dict[tuple[int, int], NonlinearEigenfunctionReport]:
+    """Track every (psi_is o tau^-1) along the nonlinear orbit against its
+    eigenvalue prediction at the perturbed start, relative to the layer
+    norm decay; one report per mode (i, s).
 
-    The same quantity evaluated purely on the linear side (at tau^-1(y0))
-    must agree along the way; that identity is the cross-check.
+    The same quantities evaluated purely on the linear side (at
+    tau^-1(y0)) must agree along the way; that identity is the cross-check.
     """
     sys = nl.base
-    psi = principal_eigenfunction(sys, i, s)
-    lam = psi.eigenvalue
-    x0 = nl.conj.inverse(y0)
-    target = psi(apply_perturbation(pd, x0).layer(i))
-
-    coupled_nl = iterate_nonlinear(nl, y0, T)
-    coupled_lin = iterate_lin(sys, x0, T)
-
-    norm_i = sys.norms[i - 1]
-    ratios = []
-    ratios_lin = []
-    lam_pow = 1.0 + 0.0j
-    norm_pow = 1.0
-    for t in range(T + 1):
-        val_nl = psi(nl.conj.inverse(coupled_nl[t]).layer(i))
-        val_lin = psi(coupled_lin[t].layer(i))
-        predicted = lam_pow * target
-        ratios.append(abs(val_nl - predicted) / norm_pow)
-        ratios_lin.append(abs(val_lin - predicted) / norm_pow)
-        lam_pow *= lam
-        norm_pow *= norm_i
+    _, X = conjugated_orbit(nl, sys.A, y0.stacked(), T)
+    t = np.arange(T + 1)[:, None]
+    predicted = sys.lams**t * (sys.Vinv @ (pd.P @ X[0]))
+    norm_pow = np.repeat(sys.norms, sys.dims) ** t
+    linear = checked_orbit(sys, sys.A, X[0], T, "Lin")
+    ratios = np.abs(X @ sys.Vinv.T - predicted) / norm_pow
+    ratios_lin = np.abs(linear @ sys.Vinv.T - predicted) / norm_pow
 
     h = min(agreement_horizon, T)
-    discrepancy = max(abs(a - b) for a, b in zip(ratios[: h + 1], ratios_lin[: h + 1]))
-    peak = max(ratios)
-    terminal = ratios[-1] / peak if peak > 0 else 0.0
-    decay_ok = peak == 0.0 or terminal < decay_factor
+    discrepancy = np.abs(ratios[: h + 1] - ratios_lin[: h + 1]).max(axis=0)
+    peak = ratios.max(axis=0)
+    terminal = np.divide(ratios[-1], peak, out=np.zeros_like(peak), where=peak > 0)
+    decay_ok = (peak == 0.0) | (terminal < decay_factor)
     paths_agree = discrepancy <= agreement_tol
-    return NonlinearEigenfunctionReport(
-        passed=decay_ok and paths_agree,
-        decay_ok=decay_ok,
-        paths_agree=paths_agree,
-        ratios=tuple(ratios),
-        terminal_ratio=terminal,
-        path_discrepancy=discrepancy,
-        agreement_horizon=h,
-        decay_factor=decay_factor,
-        agreement_tol=agreement_tol,
-    )
+    return {
+        mode: NonlinearEigenfunctionReport(
+            passed=bool(decay_ok[m] and paths_agree[m]),
+            decay_ok=bool(decay_ok[m]),
+            paths_agree=bool(paths_agree[m]),
+            ratios=tuple(ratios[:, m].tolist()),
+            terminal_ratio=float(terminal[m]),
+            path_discrepancy=float(discrepancy[m]),
+            agreement_horizon=h,
+            decay_factor=decay_factor,
+            agreement_tol=agreement_tol,
+        )
+        for m, mode in enumerate(sys.modes)
+    }

@@ -262,6 +262,15 @@ class TestEigs:
         inv = json.loads((out / "eigenfunctions.json").read_text())
         assert len(inv["entries"]) == 3
 
+    def test_residual_above_tolerance_exit_5(self, tmp_path, capsys):
+        # the 12-layer seed-45 cascade has max residual 3.48e-8 > 1e-8
+        gen = tmp_path / "g12"
+        assert run("generate", "--seed", 45, "--layers", 12, "--out-dir", gen) == 0
+        code = run("eigs", "--spec", gen / "cascade.json", "--layer", 1, "--index", 1,
+                   "--out-dir", tmp_path / "e12")
+        assert code == 5
+        assert "exceeds" in capsys.readouterr().err
+
 
 class TestReproPaper:
     def test_full_run_passes_and_is_deterministic(self, tmp_path):

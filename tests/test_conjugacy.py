@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import koopcascade as kc
+from koopcascade import conjugacy
+from koopcascade.cli import NONLINEAR_CHECKS, TolProfile, run_checks
+from tests.conftest import cli_cascade
 
 
 def bisect_cubic_root(w: float, a: float, lo: float, hi: float, iters: int = 200) -> float:
@@ -121,7 +124,8 @@ class TestEigenfunctionTransfer:
             psi = kc.principal_eigenfunction(sys_, i, 1)
             for _ in range(10):
                 y = conj.forward(sys_.random_state(rng, layer_norm=0.2))
-                lhs = psi(conj.inverse(nl.nominal_step(y)).layer(i))
+                _, X = kc.conjugated_orbit(nl, sys_.N, y.stacked(), 1)
+                lhs = psi(kc.StateVector.unstack(X[1], sys_.dims).layer(i))
                 rhs = psi.eigenvalue * psi(conj.inverse(y).layer(i))
                 assert abs(lhs - rhs) <= 1e-9
 
@@ -161,22 +165,88 @@ class TestNonlinearEigenfunctionDecay:
     def test_identity_conjugacy_matches_linear_path(self, replica):
         sys_, pd, x0 = replica
         nl = kc.NonlinearCascade(base=sys_, conj=kc.identity_conjugacy())
-        rep = kc.check_nonlinear_eigenfunction_decay(nl, pd, sys_.n, 1, x0, 60)
-        assert rep.paths_agree
-        assert rep.path_discrepancy == 0.0
+        reports = kc.check_nonlinear_eigenfunction_decay(nl, pd, x0, 60)
+        assert list(reports) == list(sys_.modes)
+        for rep in reports.values():
+            assert rep.paths_agree
+            assert rep.path_discrepancy == 0.0
 
     def test_cubic_paths_agree_and_decay(self, replica):
         sys_, pd, x0 = replica
         conj = kc.polynomial_conjugacy([0.1] * sys_.n)
         nl = kc.NonlinearCascade(base=sys_, conj=conj)
         y0 = conj.forward(x0)
-        rep = kc.check_nonlinear_eigenfunction_decay(
-            nl, pd, sys_.n, 1, y0, 100, agreement_horizon=50
+        reports = kc.check_nonlinear_eigenfunction_decay(
+            nl, pd, y0, 100, agreement_horizon=50
         )
-        assert rep.paths_agree, rep.path_discrepancy
-        assert rep.path_discrepancy <= 1e-8
-        assert rep.decay_ok
-        assert rep.terminal_ratio < 1e-3
+        for mode, rep in reports.items():
+            assert rep.paths_agree, (mode, rep.path_discrepancy)
+            assert rep.path_discrepancy <= 1e-8
+            assert rep.decay_ok, mode
+            assert rep.terminal_ratio < 1e-3
+
+    def test_all_modes_match_per_mode_oracle(self, replica):
+        # per-mode loop over StateVectors: invert each state, evaluate the
+        # rows of V_i^-1, multiply the powers of lambda step by step
+        sys_, pd, x0 = replica
+        T, h, decay_factor, agreement_tol = 100, 50, 1e-3, 1e-8
+        conj = kc.polynomial_conjugacy([0.1] * sys_.n)
+        nl = kc.NonlinearCascade(base=sys_, conj=conj)
+        y0 = conj.forward(x0)
+        reports = kc.check_nonlinear_eigenfunction_decay(
+            nl, pd, y0, T, decay_factor=decay_factor, agreement_horizon=h,
+            agreement_tol=agreement_tol,
+        )
+        xs = [conj.inverse(y) for y in kc.iterate_nonlinear(nl, y0, T).states]
+        lin = kc.iterate_lin(sys_, xs[0], T)
+        px = kc.apply_perturbation(pd, xs[0])
+        assert set(reports) == set(sys_.modes)
+        for (i, s), rep in reports.items():
+            row = sys_.eig_of(i).Vinv[s - 1]
+            lam = sys_.eig_of(i).eigenvalues[s - 1]
+            target = row @ px.layer(i)
+            lam_pow, norm_pow = 1.0 + 0.0j, 1.0
+            ratios, ratios_lin = [], []
+            for t in range(T + 1):
+                predicted = lam_pow * target
+                ratios.append(abs(row @ xs[t].layer(i) - predicted) / norm_pow)
+                ratios_lin.append(abs(row @ lin[t].layer(i) - predicted) / norm_pow)
+                lam_pow *= lam
+                norm_pow *= sys_.norms[i - 1]
+            discrepancy = max(abs(a - b) for a, b in zip(ratios[: h + 1], ratios_lin[: h + 1]))
+            peak = max(ratios)
+            decay_ok = peak == 0.0 or ratios[-1] / peak < decay_factor
+            paths_agree = discrepancy <= agreement_tol
+            assert (rep.passed, rep.decay_ok, rep.paths_agree) == (
+                decay_ok and paths_agree, decay_ok, paths_agree
+            ), (i, s)
+            assert abs(rep.path_discrepancy - discrepancy) <= 1e-13, (i, s)
+            drift = max(abs(a - b) for a, b in zip(rep.ratios, ratios))
+            assert drift <= 1e-12 * max(1.0, peak), (i, s)
+
+
+class TestNewtonSolves:
+    def test_each_orbit_state_inverted_once(self, monkeypatch):
+        # run_checks as repro-paper --seed 45 calls it: one coupled and one
+        # nominal orbit at T = 200, one coupled orbit at t4 = 100
+        system = cli_cascade(45)
+        x0 = system.random_state(np.random.default_rng(np.random.SeedSequence(45).spawn(3)[1]))
+        pd = kc.compute_perturbation(system)
+        calls = []
+        solve = conjugacy._invert_monotone_cubic
+
+        def counted(w, a):
+            calls.append(w.shape)
+            return solve(w, a)
+
+        monkeypatch.setattr(conjugacy, "_invert_monotone_cubic", counted)
+        T, t4 = 200, 100
+        results = run_checks(
+            system, pd, x0, T, list(NONLINEAR_CHECKS), TolProfile(),
+            {"kind": "polynomialDiagonal", "a": [0.1] * system.n},
+        )
+        assert all(r["passed"] for r in results.values())
+        assert len(calls) <= 2 * (T + 1) + (t4 + 1)
 
 
 class TestConjugacyJson:
