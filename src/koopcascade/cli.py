@@ -11,8 +11,10 @@ Subcommands:
 All data goes to files; stdout carries human-readable summaries only.
 Fixed seeds give byte-identical CSV output across runs on the same build.
 
-Exit codes: 0 ok, 2 generation failed, 3 validation failed, 4 orbit
-overflow, 5 verification checks failed (for eigs: a residual above tolerance).
+Exit codes: 0 ok, 2 generation failed or usage error (including a --spec,
+--x0 or --conjugacy file that cannot be read as JSON), 3 validation failed,
+4 orbit overflow, 5 verification checks failed (for eigs: a residual above
+tolerance).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .cascade import (
     DEFAULT_DIM_RANGE,
     CascadeSystem,
     StateVector,
+    cascade_from_json,
     cascade_to_json,
-    load_cascade,
     random_chained_cascade,
     state_from_json,
     state_to_json,
@@ -44,19 +46,15 @@ from .conjugacy import (
     check_nonlinear_eigenfunction_decay,
     check_nonlinear_equivalence,
     conjugacy_from_json,
+    conjugated_orbit,
 )
-from .errors import (
-    DeflationIncompleteError,
-    GenerationFailedError,
-    NotPeripheralError,
-    OrbitOverflowError,
-)
+from .errors import GenerationFailedError, OrbitOverflowError
 from .observables import (
-    PERIPHERAL_TOL,
     check_eigenfunction_bounds,
     eigenfunction_residuals,
     eigenfunction_to_json,
-    laplace_average,
+    laplace_table,
+    peripheral_modes,
 )
 from .orbits import (
     check_asymptotic_equivalence,
@@ -79,6 +77,7 @@ LAPLACE_N_GRID = (10, 100, 1000)
 
 EXIT_OK = 0
 EXIT_GENERATION = 2
+EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_OVERFLOW = 4
 EXIT_CHECKS = 5
@@ -238,8 +237,25 @@ def cmd_generate(args) -> int:
     return EXIT_OK if report.overall else EXIT_VALIDATION
 
 
+class UsageError(Exception):
+    """A command-line argument the command cannot use; main prints the
+    message and exits EXIT_USAGE."""
+
+
+def _read_json(path: str, flag: str, parse=lambda obj: obj):
+    """parse() of the JSON in the file a command-line flag names; a file
+    that cannot be read, or content that is not what the flag takes, is a
+    UsageError."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"{flag} {path}: {exc}") from None
+
+
 def _load_validated(spec_path: str):
-    system, report = load_cascade(spec_path)
+    system = _read_json(spec_path, "--spec", cascade_from_json)
+    report = validate_conditions(system)
     if not report.overall:
         print(
             f"cascade spec failed condition validation: {json.dumps(report.to_json())}",
@@ -251,8 +267,7 @@ def _load_validated(spec_path: str):
 
 def _initial_state(system: CascadeSystem, args) -> StateVector:
     if getattr(args, "x0", None):
-        with open(args.x0) as fh:
-            return state_from_json(json.load(fh))
+        return _read_json(args.x0, "--x0", state_from_json)
     rng = _rng_streams(args.seed, 2)[1]
     return system.random_state(rng)
 
@@ -343,15 +358,19 @@ def run_checks(
             raise ValueError("nonlinear checks need a conjugacy spec (--conjugacy)")
         conj = conjugacy_from_json(conjugacy_spec)
         nl = NonlinearCascade(base=system, conj=conj)
-        y0 = conj.forward(x0)
+        # The top-layer decay sweep reads the first t4 + 1 states, at a
+        # horizon where rounding floors stay benign; the orbit is iterated
+        # once for both checks.
+        t4 = min(horizon, 100)
+        T = horizon if "nonlinear-equivalence" in nonlinear else t4
+        Y, X = conjugated_orbit(nl, system.A, conj.forward(x0).stacked(), T)
         if "nonlinear-equivalence" in nonlinear:
             results["nonlinear-equivalence"] = check_nonlinear_equivalence(
-                nl, pd, y0, horizon, decay_factor=profile.decay_factor
+                nl, pd, Y, X, decay_factor=profile.decay_factor
             ).to_json()
         if "nonlinear-eigenfunction-decay" in nonlinear:
-            # Top-layer sweep at a horizon where rounding floors stay benign.
             reports = check_nonlinear_eigenfunction_decay(
-                nl, pd, y0, min(horizon, 100),
+                nl, pd, X[: t4 + 1],
                 decay_factor=profile.decay_factor,
                 agreement_tol=profile.agreement_tol,
             )
@@ -381,12 +400,9 @@ def cmd_verify(args) -> int:
         if unknown:
             print(f"unknown checks: {unknown}; available: {list(ALL_CHECKS)}",
                   file=_sys.stderr)
-            return 2
+            return EXIT_USAGE
 
-    conj_spec = None
-    if args.conjugacy:
-        with open(args.conjugacy) as fh:
-            conj_spec = json.load(fh)
+    conj_spec = _read_json(args.conjugacy, "--conjugacy") if args.conjugacy else None
 
     profile = TolProfile.named(args.tol_profile)
     x0 = _initial_state(system, args)
@@ -401,7 +417,7 @@ def cmd_verify(args) -> int:
         return EXIT_OVERFLOW
     except ValueError as exc:
         print(str(exc), file=_sys.stderr)
-        return 2
+        return EXIT_USAGE
 
     overall = all(r["passed"] for r in results.values())
     report_path = out_dir / "verify_report.json"
@@ -450,11 +466,13 @@ def write_eigs_tables(
 
     # Every (psi_is o pert)(x_ref) at once: the rows of W = Vinv P.
     refs = dict(zip(system.modes, system.Vinv @ (pd.P @ x_ref.stacked())))
+    is_peripheral = dict(zip(system.modes, peripheral_modes(system).tolist()))
+    table = laplace_table(system, pd, x_ref, LAPLACE_N_GRID, pairs)
     inventory = []
     laplace_rows = []
     for i, s in pairs:
         lam = complex(system.eig_of(i).eigenvalues[s - 1])
-        peripheral = abs(abs(lam) - system.norms[i - 1]) <= PERIPHERAL_TOL
+        peripheral = is_peripheral[(i, s)]
         ref = complex(refs[(i, s)])
         entry = {
             "eigenfunction": eigenfunction_to_json(system, i, s, composed_with_pert=True),
@@ -462,18 +480,17 @@ def write_eigs_tables(
             "residual": residuals[(i, s)],
             "laplace": [],
         }
-        for N in LAPLACE_N_GRID:
+        for N, avg in zip(LAPLACE_N_GRID, table[(i, s)]):
             row = {"N": N, "deflated": not peripheral}
-            try:
-                avg = laplace_average(system, pd, i, s, x_ref, N, deflate=not peripheral)
+            if isinstance(avg, str):
+                row["status"] = avg
+            else:
                 row["average"] = linalg.complex_to_json(avg)
                 row["abs_error"] = abs(avg - ref)
                 row["status"] = "ok"
-            except (NotPeripheralError, DeflationIncompleteError) as exc:
-                row["status"] = type(exc).__name__
             entry["laplace"].append(row)
             laplace_rows.append(
-                (i, s, lam, peripheral, row.get("deflated", False), N,
+                (i, s, lam, peripheral, not peripheral, N,
                  row.get("average"), ref, row.get("abs_error"), row["status"])
             )
         inventory.append(entry)
@@ -682,8 +699,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.func is None:
         parser.print_help()
-        return 2
-    return args.func(args)
+        return EXIT_USAGE
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"koopcascade {args.command}: {exc}", file=_sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

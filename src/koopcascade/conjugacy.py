@@ -237,20 +237,23 @@ class NonlinearEquivalenceReport:
 def check_nonlinear_equivalence(
     nl: NonlinearCascade,
     pd: PerturbationData,
-    y0: StateVector,
-    T: int,
+    Y: np.ndarray,
+    X: np.ndarray,
     decay_factor: float = 1e-3,
 ) -> NonlinearEquivalenceReport:
     """Verify that the coupled nonlinear orbit and the perturbed nominal
-    nonlinear orbit converge to each other over the horizon."""
+    nonlinear orbit converge to each other over the horizon.
+
+    Y and X are the coupled orbit from y0 and its tau^-1, as
+    conjugated_orbit(nl, nl.base.A, y0, T) returns them.
+    """
     sys = nl.base
-    coupled, X = conjugated_orbit(nl, sys.A, y0.stacked(), T)
     forward, _ = nl.conj.stacked_maps(sys.dims)
-    nominal, _ = conjugated_orbit(nl, sys.N, forward(pd.P @ X[0]), T)
-    errors = linalg.layer_norms(coupled - nominal, sys.offsets).sum(axis=1)
+    nominal, _ = conjugated_orbit(nl, sys.N, forward(pd.P @ X[0]), len(Y) - 1)
+    errors = linalg.layer_norms(Y - nominal, sys.offsets).sum(axis=1)
     peak = float(errors.max())
     ratio = float(errors[-1]) / peak if peak > 0 else 0.0
-    norms = linalg.layer_norms(coupled, sys.offsets).sum(axis=1)
+    norms = linalg.layer_norms(Y, sys.offsets).sum(axis=1)
     inside = np.flatnonzero(norms <= WORKING_BALL_RADIUS)
     return NonlinearEquivalenceReport(
         passed=ratio < decay_factor or peak == 0.0,
@@ -297,8 +300,7 @@ class NonlinearEigenfunctionReport:
 def check_nonlinear_eigenfunction_decay(
     nl: NonlinearCascade,
     pd: PerturbationData,
-    y0: StateVector,
-    T: int,
+    X: np.ndarray,
     decay_factor: float = 1e-3,
     agreement_horizon: int = 50,
     agreement_tol: float = 1e-8,
@@ -307,11 +309,14 @@ def check_nonlinear_eigenfunction_decay(
     eigenvalue prediction at the perturbed start, relative to the layer
     norm decay; one report per mode (i, s).
 
-    The same quantities evaluated purely on the linear side (at
-    tau^-1(y0)) must agree along the way; that identity is the cross-check.
+    X is tau^-1 of the coupled nonlinear orbit for t = 0..T, the second
+    array conjugated_orbit(nl, nl.base.A, y0, T) returns; its first T + 1
+    states from a longer orbit are the same. The same quantities evaluated
+    purely on the linear side (at X[0]) must agree along the way; that
+    identity is the cross-check.
     """
     sys = nl.base
-    _, X = conjugated_orbit(nl, sys.A, y0.stacked(), T)
+    T = len(X) - 1
     t = np.arange(T + 1)[:, None]
     predicted = sys.lams**t * (sys.Vinv @ (pd.P @ X[0]))
     norm_pow = np.repeat(sys.norms, sys.dims) ** t

@@ -24,7 +24,7 @@ from .errors import (
     NotPeripheralError,
     SameLayerProductError,
 )
-from .orbits import check_state, checked_orbit, compute_error_series, stacked_orbit
+from .orbits import check_state, checked_orbit, compute_error_series
 from .perturbation import PerturbationData, apply_perturbation
 
 PERIPHERAL_TOL = 1e-9
@@ -197,26 +197,143 @@ def eigenfunction_residuals(
 # ---------------------------------------------------------------------------
 
 
-def _laplace_terms(
-    A_sub: np.ndarray, row: np.ndarray, lam: complex, x: np.ndarray, N: int
-) -> np.ndarray:
-    """Terms lam^-t * row . orbit_t(x), t < N, of the subsystem operator A_sub.
+def peripheral_modes(sys: CascadeSystem) -> np.ndarray:
+    """Whether each stacked mode's |lambda| equals its layer norm within
+    PERIPHERAL_TOL; the Laplace table deflates every other mode."""
+    return np.abs(np.abs(sys.lams) - np.repeat(sys.norms, sys.dims)) <= PERIPHERAL_TOL
 
-    Computed on the rescaled orbit of A_sub / lam, so no explicit lam^-t is
-    formed; it stays bounded whenever every mode the row can see has
-    modulus <= |lam|.
+
+def _laplace(
+    sys: CascadeSystem,
+    pd: PerturbationData,
+    x: np.ndarray,
+    idx: np.ndarray,
+    deflate: np.ndarray,
+    Ns: Sequence[int],
+) -> list[list[complex | None]]:
+    """Laplace averages of the stacked modes idx at every N of the
+    increasing grid Ns, from one batched orbit; None where an average fails.
+
+    Mode p averages the terms row_p . w_t, t < N, along the orbit w_t of
+    A[:k, :k] / lam_p from x[:k], where k ends the mode's layer: A is block
+    lower triangular, so layers 1..i evolve on their own under its leading
+    block, and the rescaled orbit stays bounded while no mode the row sees
+    is faster than lam_p. row_p is the mode's Vinv row; where deflate[p],
+    its components along the exact eigenfunctions of the subsystem (the
+    rows of Vinv P) faster than |lam_p| are removed first.
+
+    An average fails once a state within its first N steps is not finite,
+    or, deflated, once a term strays from phi_p(x) by more than
+    10 ceiling + 1e3 (1 + |phi_p(x)|), where ceiling is the exact bound of
+    the kept non-target components. Deflation removes the fast components
+    analytically but the orbit still carries them, so rounding noise along
+    them grows like (mu_max / |lam_p|)^t and eventually takes over. A failed
+    mode leaves the orbit after the segment of Ns it failed in; every
+    larger N fails with it.
     """
-    # Overflow of the rescaled orbit is an expected failure mode (a dropped
-    # fast mode dominating); it is caught by the finite check and raised.
+    P = idx.size
+    offsets = np.asarray(sys.offsets)
+    layer = np.searchsorted(offsets, idx, side="right") - 1
+    ends = offsets[layer + 1]
+    lam = sys.lams[idx]
+    K = int(ends.max())
+
+    avg_rows = np.zeros((P, K), dtype=np.complex128)
+    expected = np.zeros(P, dtype=np.complex128)
+    ceiling = np.zeros(P)
+    for i in sorted(set(layer.tolist())):
+        k = offsets[i + 1]
+        mine = np.flatnonzero(layer == i)
+        avg_rows[mine, :k] = sys.Vinv[idx[mine], :k]
+        sel = mine[deflate[mine]]
+        if sel.size == 0:
+            continue
+        # Exact eigenfunctions of the subsystem, one per row, and the
+        # coefficients of every deflated row along them in one solve.
+        rows = sys.Vinv[:k, :k] @ pd.P[:k, :k]
+        coeffs = np.linalg.solve(rows.T, avg_rows[sel, :k].T).T
+        keep = np.abs(sys.lams[:k]) <= np.abs(lam[sel])[:, None] + PERIPHERAL_TOL
+        avg_rows[sel, :k] = (coeffs * keep) @ rows
+        phi = rows @ x[:k]
+        expected[sel] = phi[idx[sel]]
+        # The kept non-target components never exceed their t = 0 moduli.
+        keep[np.arange(sel.size), idx[sel]] = False
+        ceiling[sel] = np.sum(np.abs(coeffs * phi) * keep, axis=1)
+    limit = 10.0 * ceiling + 1e3 * (1.0 + np.abs(expected))
+
+    # Padded stack: the lanes beyond a mode's k stay exactly 0.
+    M = np.zeros((P, K, K), dtype=np.complex128)
+    w = np.zeros((P, K, 1), dtype=np.complex128)
+    for p in range(P):
+        k = ends[p]
+        M[p, :k, :k] = sys.A[:k, :k] / lam[p]
+        w[p, :k, 0] = x[:k]
+    avg_rows = avg_rows[:, None, :]
+
+    out: list[list[complex | None]] = [[None] * len(Ns) for _ in range(P)]
+    live = np.arange(P)
+    worst = np.zeros(P)
+    segments: list[np.ndarray] = []  # terms of the live modes, one array per segment
+    prev = np.empty_like(w)
+    start = 0
+    # Overflow of a rescaled orbit is an expected failure (a dropped fast
+    # mode dominating); it is caught by the finite check.
     with np.errstate(over="ignore", invalid="ignore"):
-        w = stacked_orbit(A_sub / lam, x, N - 1)
-    finite = np.all(np.isfinite(w), axis=1)
-    if not np.all(finite):
-        raise DeflationIncompleteError(
-            f"rescaled orbit overflowed at t={int(np.argmin(finite))}; a component "
-            "faster than |lambda| dominates"
-        )
-    return w @ row
+        for j, N in enumerate(Ns):
+            seg = np.empty((N - start, live.size, 1, 1), dtype=np.complex128)
+            for t in range(N - start):
+                np.matmul(avg_rows, w, out=seg[t])
+                np.matmul(M, w, out=prev)
+                w, prev = prev, w
+            segments.append(seg[:, :, 0, 0])
+            # A step multiplies every lane of the state (0 * inf is nan),
+            # so once a state is not finite no later one is: state N - 1
+            # decides for the whole prefix.
+            finite = np.isfinite(prev).all(axis=(1, 2))
+            worst = np.maximum(worst, np.abs(segments[-1] - expected).max(axis=0))
+            ok = finite & ~(deflate[live] & (worst > limit))
+            for q in np.flatnonzero(ok):
+                prefix = np.concatenate([part[:, q] for part in segments])
+                out[live[q]][j] = complex(np.mean(prefix))
+            segments = [part[:, ok] for part in segments]
+            live, M, w, avg_rows = live[ok], M[ok], w[ok], avg_rows[ok]
+            worst, expected, limit = worst[ok], expected[ok], limit[ok]
+            if live.size == 0:
+                break
+            prev = np.empty_like(w)
+            start = N
+    return out
+
+
+def laplace_table(
+    sys: CascadeSystem,
+    pd: PerturbationData,
+    x: StateVector,
+    Ns: Sequence[int],
+    modes: Sequence[tuple[int, int]] | None = None,
+) -> dict[tuple[int, int], list[complex | str]]:
+    """Partial Cesaro averages (1/N) sum_{t<N} lam^-t f(orbit_t(x)) of the
+    extended principal eigenfunctions f, every (layer, index) mode or the
+    given ones, at every N of the increasing grid Ns.
+
+    Each average converges to (f o pert)(x). Peripheral modes (see
+    peripheral_modes) are averaged plain, every other mode deflated. Each
+    entry is the average, or the name of the error that laplace_average
+    raises for it. All modes share one orbit loop; a mode leaves it once
+    its average fails.
+    """
+    check_state(sys, x)
+    if not Ns or Ns[0] < 1 or any(a >= b for a, b in zip(Ns, Ns[1:])):
+        raise ValueError(f"Ns must be increasing and >= 1, got {list(Ns)}")
+    position = {mode: m for m, mode in enumerate(sys.modes)}
+    modes = list(sys.modes if modes is None else modes)
+    idx = np.array([position[mode] for mode in modes], dtype=np.intp)
+    averages = _laplace(sys, pd, x.stacked(), idx, ~peripheral_modes(sys)[idx], Ns)
+    failed = DeflationIncompleteError.__name__
+    return {
+        mode: [failed if avg is None else avg for avg in row]
+        for mode, row in zip(modes, averages)
+    }
 
 
 def laplace_average(
@@ -228,18 +345,17 @@ def laplace_average(
     N: int,
     deflate: bool = False,
 ) -> complex:
-    """Partial Cesaro average (1/N) sum_t lam^-t f(orbit_t(x)) for the
-    extended principal eigenfunction f of (layer i, index s).
+    """Partial Cesaro average (1/N) sum_{t<N} lam^-t f(orbit_t(x)) for the
+    extended principal eigenfunction f of (layer i, index s): the one-mode,
+    one-N entry of laplace_table.
 
     Converges to (f o pert)(x). Without deflation the eigenvalue must be
     peripheral (|lambda| equal to the layer norm within PERIPHERAL_TOL);
     with deflation, components of f along exact eigenfunctions of strictly
-    larger modulus are removed first.
-
-    Deflation subtracts the fast components analytically but still
-    evaluates along the raw orbit, so rounding noise in the terms grows
-    like (mu_max / |lambda|)^t; past roughly t = 36 / log(mu_max/|lambda|)
-    the terms are polluted and DeflationIncompleteError is raised.
+    larger modulus are removed first. Rounding noise along the removed
+    components still grows like (mu_max / |lambda|)^t; past roughly
+    t = 36 / log(mu_max / |lambda|) it takes over the terms and
+    DeflationIncompleteError is raised.
     """
     if not 1 <= i <= sys.n:
         raise IndexError(f"layer {i} out of range 1..{sys.n}")
@@ -250,46 +366,20 @@ def laplace_average(
     if x.dims != sys.dims:
         raise DimensionMismatchError(f"state dims {x.dims} != system dims {sys.dims}")
 
-    lam = complex(sys.eig_of(i).eigenvalues[s - 1])
-    peripheral = abs(abs(lam) - sys.norms[i - 1]) <= PERIPHERAL_TOL
-    if not peripheral and not deflate:
+    idx = sys.offsets[i - 1] + s - 1
+    if not deflate and not peripheral_modes(sys)[idx]:
         raise NotPeripheralError(
-            f"|eigenvalue| = {abs(lam):.12g} differs from layer norm "
+            f"|eigenvalue| = {abs(sys.lams[idx]):.12g} differs from layer norm "
             f"{sys.norms[i - 1]:.12g}; enable deflation to average here"
         )
-
-    # A is block lower triangular, so layers 1..i evolve on their own under
-    # its leading block.
-    k = sys.offsets[i]
-    idx = sys.offsets[i - 1] + s - 1
-    A_sub = sys.A[:k, :k]
-    x_sub = x.stacked()[:k]
-    row = sys.Vinv[idx, :k]
-
-    if deflate:
-        # Exact eigenfunctions of the subsystem, one per row.
-        rows = sys.Vinv[:k, :k] @ pd.P[:k, :k]
-        coeffs = np.linalg.solve(rows.T, row)
-        keep = np.abs(sys.lams[:k]) <= abs(lam) + PERIPHERAL_TOL
-        row = (coeffs * keep) @ rows
-        phi_at_x = rows @ x_sub
-        expected = complex(phi_at_x[idx])
-        others = keep.copy()
-        others[idx] = False
-        # Exact ceiling of the legitimate part: the kept non-target
-        # components never exceed their t=0 magnitudes in modulus.
-        ceiling = float(np.sum(np.abs(coeffs[others] * phi_at_x[others])))
-        terms = _laplace_terms(A_sub, row, lam, x_sub, N)
-        errs = np.abs(terms - expected)
-        if float(np.max(errs)) > 10.0 * ceiling + 1e3 * (1.0 + abs(expected)):
-            raise DeflationIncompleteError(
-                f"deflated terms grew to {np.max(errs):.3e}, far beyond the "
-                f"legitimate component ceiling {ceiling:.3e}; rounding noise "
-                "along the discarded fast modes has taken over"
-            )
-        return complex(np.mean(terms))
-
-    return complex(np.mean(_laplace_terms(A_sub, row, lam, x_sub, N)))
+    [[avg]] = _laplace(sys, pd, x.stacked(), np.array([idx]), np.array([deflate]), [N])
+    if avg is None:
+        raise DeflationIncompleteError(
+            f"within N = {N} steps the rescaled orbit overflowed or the deflated "
+            "terms outgrew their legitimate component ceiling; rounding noise "
+            "along a component faster than |lambda| has taken over"
+        )
+    return avg
 
 
 # ---------------------------------------------------------------------------

@@ -205,8 +205,9 @@ def test_criterion_8_nonlinear_transfer(replica_full):
     nl = kc.NonlinearCascade(base=system, conj=conj)
     y0 = conj.forward(x0)
 
-    eq = kc.check_nonlinear_equivalence(nl, pd, y0, 200)
-    reports = kc.check_nonlinear_eigenfunction_decay(nl, pd, y0, 50, agreement_horizon=50)
+    Y, X = kc.conjugated_orbit(nl, system.A, y0.stacked(), 200)
+    eq = kc.check_nonlinear_equivalence(nl, pd, Y, X)
+    reports = kc.check_nonlinear_eigenfunction_decay(nl, pd, X[:51], agreement_horizon=50)
     worst_disc = max(rep.path_discrepancy for rep in reports.values())
     ok = eq.terminal_ratio < 1e-3 and worst_disc <= 1e-8
     _report(

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +312,45 @@ class TestReproPaper:
             ys = np.array([v for t, v in pts if 100 <= t <= 200])
             slope = np.polyfit(ts, ys, 1)[0]
             assert slope < 0, f"layer {layer} log rel err not decreasing"
+
+
+class TestBadFileArguments:
+    @pytest.fixture()
+    def bad_paths(self, tmp_path):
+        text = tmp_path / "notjson.json"
+        text.write_text("not json")
+        return {"missing": tmp_path / "missing.json", "directory": tmp_path,
+                "not-json": text}
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "eigs"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-json"])
+    def test_spec_exit_2(self, tmp_path, capsys, bad_paths, command, kind):
+        code = run(command, "--spec", bad_paths[kind], "--out-dir", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--spec" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--conjugacy", "--x0"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-json"])
+    def test_other_files_exit_2(self, tmp_path, capsys, scalar_spec, bad_paths, flag, kind):
+        code = run("verify", "--spec", scalar_spec, flag, bad_paths[kind],
+                   "--out-dir", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert flag in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_process_stderr_has_no_traceback(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(kc.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "koopcascade.cli", "eigs", "--spec",
+             str(tmp_path / "missing.json"), "--out-dir", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "missing.json" in proc.stderr
 
 
 class TestTopLevel:

@@ -134,7 +134,9 @@ class TestNonlinearEquivalence:
     def test_identity_conjugacy_reduces_to_linear_numbers(self, replica):
         sys_, pd, x0 = replica
         nl = kc.NonlinearCascade(base=sys_, conj=kc.identity_conjugacy())
-        rep = kc.check_nonlinear_equivalence(nl, pd, x0, 60)
+        rep = kc.check_nonlinear_equivalence(
+            nl, pd, *kc.conjugated_orbit(nl, sys_.A, x0.stacked(), 60)
+        )
         lin = kc.iterate_lin(sys_, x0, 60)
         nom = kc.iterate_nom(sys_, kc.apply_perturbation(pd, x0), 60)
         for t in range(61):
@@ -146,7 +148,9 @@ class TestNonlinearEquivalence:
         sys_, pd, x0 = replica
         conj = kc.polynomial_conjugacy([0.1] * sys_.n)
         nl = kc.NonlinearCascade(base=sys_, conj=conj)
-        rep = kc.check_nonlinear_equivalence(nl, pd, conj.forward(x0), 200)
+        rep = kc.check_nonlinear_equivalence(
+            nl, pd, *kc.conjugated_orbit(nl, sys_.A, conj.forward(x0).stacked(), 200)
+        )
         assert rep.passed
         assert rep.terminal_ratio < 1e-3
         assert rep.entered_ball_at is not None
@@ -157,7 +161,9 @@ class TestNonlinearEquivalence:
         coeffs[1] = 0.0
         conj = kc.polynomial_conjugacy(coeffs)
         nl = kc.NonlinearCascade(base=sys_, conj=conj)
-        rep = kc.check_nonlinear_equivalence(nl, pd, conj.forward(x0), 200)
+        rep = kc.check_nonlinear_equivalence(
+            nl, pd, *kc.conjugated_orbit(nl, sys_.A, conj.forward(x0).stacked(), 200)
+        )
         assert rep.passed
 
 
@@ -165,7 +171,8 @@ class TestNonlinearEigenfunctionDecay:
     def test_identity_conjugacy_matches_linear_path(self, replica):
         sys_, pd, x0 = replica
         nl = kc.NonlinearCascade(base=sys_, conj=kc.identity_conjugacy())
-        reports = kc.check_nonlinear_eigenfunction_decay(nl, pd, x0, 60)
+        _, X = kc.conjugated_orbit(nl, sys_.A, x0.stacked(), 60)
+        reports = kc.check_nonlinear_eigenfunction_decay(nl, pd, X)
         assert list(reports) == list(sys_.modes)
         for rep in reports.values():
             assert rep.paths_agree
@@ -175,10 +182,8 @@ class TestNonlinearEigenfunctionDecay:
         sys_, pd, x0 = replica
         conj = kc.polynomial_conjugacy([0.1] * sys_.n)
         nl = kc.NonlinearCascade(base=sys_, conj=conj)
-        y0 = conj.forward(x0)
-        reports = kc.check_nonlinear_eigenfunction_decay(
-            nl, pd, y0, 100, agreement_horizon=50
-        )
+        _, X = kc.conjugated_orbit(nl, sys_.A, conj.forward(x0).stacked(), 100)
+        reports = kc.check_nonlinear_eigenfunction_decay(nl, pd, X, agreement_horizon=50)
         for mode, rep in reports.items():
             assert rep.paths_agree, (mode, rep.path_discrepancy)
             assert rep.path_discrepancy <= 1e-8
@@ -193,8 +198,9 @@ class TestNonlinearEigenfunctionDecay:
         conj = kc.polynomial_conjugacy([0.1] * sys_.n)
         nl = kc.NonlinearCascade(base=sys_, conj=conj)
         y0 = conj.forward(x0)
+        _, X = kc.conjugated_orbit(nl, sys_.A, y0.stacked(), T)
         reports = kc.check_nonlinear_eigenfunction_decay(
-            nl, pd, y0, T, decay_factor=decay_factor, agreement_horizon=h,
+            nl, pd, X, decay_factor=decay_factor, agreement_horizon=h,
             agreement_tol=agreement_tol,
         )
         xs = [conj.inverse(y) for y in kc.iterate_nonlinear(nl, y0, T).states]
@@ -228,7 +234,7 @@ class TestNonlinearEigenfunctionDecay:
 class TestNewtonSolves:
     def test_each_orbit_state_inverted_once(self, monkeypatch):
         # run_checks as repro-paper --seed 45 calls it: one coupled and one
-        # nominal orbit at T = 200, one coupled orbit at t4 = 100
+        # nominal orbit at T = 200; the decay check reads the coupled one
         system = cli_cascade(45)
         x0 = system.random_state(np.random.default_rng(np.random.SeedSequence(45).spawn(3)[1]))
         pd = kc.compute_perturbation(system)
@@ -240,13 +246,13 @@ class TestNewtonSolves:
             return solve(w, a)
 
         monkeypatch.setattr(conjugacy, "_invert_monotone_cubic", counted)
-        T, t4 = 200, 100
+        T = 200
         results = run_checks(
             system, pd, x0, T, list(NONLINEAR_CHECKS), TolProfile(),
             {"kind": "polynomialDiagonal", "a": [0.1] * system.n},
         )
         assert all(r["passed"] for r in results.values())
-        assert len(calls) <= 2 * (T + 1) + (t4 + 1)
+        assert len(calls) <= 2 * (T + 1)
 
 
 class TestConjugacyJson:

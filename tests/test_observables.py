@@ -7,6 +7,11 @@ import pytest
 
 import koopcascade as kc
 from koopcascade.observables import PERIPHERAL_TOL
+from koopcascade.orbits import stacked_orbit
+from tests.conftest import cli_cascade
+
+LAPLACE_NS = (10, 100, 1000)
+INCOMPLETE = "DeflationIncompleteError"
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +307,141 @@ class TestDeflatedLaplaceAverage:
         x = kc.StateVector.of([[1.0], [1.0, 1.0]])
         with pytest.raises(kc.DeflationIncompleteError):
             kc.laplace_average(diag_pair, diag_pair_pd, 2, 2, x, 400, deflate=True)
+
+
+def _laplace_mode(system, pd, x, m):
+    """One mode's Laplace quantities, computed on their own: the subsystem
+    end k, lambda, whether the mode is deflated, the averaged row, its
+    coefficients along the exact eigenfunctions (rows of Vinv P), the kept
+    set, every phi(x) and the ceiling of the kept non-target components."""
+    i, _ = system.modes[m]
+    k = system.offsets[i]
+    lam = system.lams[m]
+    rows = system.Vinv[:k, :k] @ pd.P[:k, :k]
+    coeffs = np.linalg.solve(rows.T, system.Vinv[m, :k])
+    phi = rows @ x[:k]
+    deflate = not kc.peripheral_modes(system)[m]
+    if deflate:
+        keep = np.abs(system.lams[:k]) <= abs(lam) + PERIPHERAL_TOL
+        row = (coeffs * keep) @ rows
+    else:
+        keep = np.ones(k, dtype=bool)
+        row = system.Vinv[m, :k]
+    others = keep.copy()
+    others[m] = False
+    ceiling = float(np.sum(np.abs(coeffs[others] * phi[others])))
+    return k, lam, deflate, row, coeffs, keep, phi, ceiling
+
+
+def _reference_statuses(system, pd, x, Ns):
+    """Per-mode, per-N reference: the orbit of A[:k, :k] / lambda to N - 1,
+    the terms w @ row, and the status rule. A failed N fails every larger
+    one, because the rule takes a maximum over a longer prefix."""
+    out = {}
+    for m, mode in enumerate(system.modes):
+        k, lam, deflate, row, _, _, phi, ceiling = _laplace_mode(system, pd, x, m)
+        limit = 10.0 * ceiling + 1e3 * (1.0 + abs(phi[m]))
+        out[mode] = []
+        for N in Ns:
+            if INCOMPLETE in out[mode]:
+                out[mode].append(INCOMPLETE)
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = stacked_orbit(system.A[:k, :k] / lam, x[:k], N - 1)
+                errs = np.abs(w @ row - phi[m])
+            ok = np.isfinite(w).all() and not (deflate and errs.max() > limit)
+            out[mode].append("ok" if ok else INCOMPLETE)
+    return out
+
+
+def _closed_form_mean(system, pd, x, m, N):
+    """Exact N-term mean sum_j c_j phi_j(x) g_N(lambda_j / lambda) over the
+    kept modes, g_N(r) = (1 - r^N) / (N (1 - r)), and the scale
+    ceiling + |phi(x)| its agreement is measured in."""
+    k, lam, _, _, coeffs, keep, phi, ceiling = _laplace_mode(system, pd, x, m)
+    g = np.ones(k, dtype=np.complex128)
+    others = keep.copy()
+    others[m] = False
+    r = system.lams[:k][others] / lam
+    g[others] = (1 - r**N) / (N * (1 - r))
+    return np.sum((coeffs * phi * g)[keep]), ceiling + abs(phi[m])
+
+
+class TestLaplaceTable:
+    @pytest.fixture(scope="class")
+    def cli_tables(self):
+        """The Laplace table repro-paper writes at seeds 45-52."""
+        out = []
+        for seed in range(45, 53):
+            system = cli_cascade(seed)
+            pd = kc.compute_perturbation(system)
+            rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
+            x = system.random_state(rng).stacked()
+            out.append((seed, system, pd, x, kc.laplace_table(
+                system, pd, kc.StateVector.unstack(x, system.dims), LAPLACE_NS
+            )))
+        return out
+
+    def test_statuses_match_per_mode_reference(self, cli_tables):
+        for seed, system, pd, x, table in cli_tables:
+            assert list(table) == list(system.modes)
+            got = {
+                mode: [v if isinstance(v, str) else "ok" for v in row]
+                for mode, row in table.items()
+            }
+            assert got == _reference_statuses(system, pd, x, LAPLACE_NS), seed
+
+    def test_ok_rows_match_closed_form_at_largest_n(self, cli_tables):
+        checked = 0
+        for seed, system, pd, x, table in cli_tables:
+            for m, mode in enumerate(system.modes):
+                avg = table[mode][-1]
+                if isinstance(avg, str):
+                    continue
+                exact, scale = _closed_form_mean(system, pd, x, m, LAPLACE_NS[-1])
+                assert abs(avg - exact) <= 1e-11 * scale, (seed, mode)
+                checked += 1
+        assert checked >= 50
+
+    @pytest.mark.parametrize("pair", ["scalar_pair", "diag_pair"])
+    def test_pairs_match_closed_form_every_n(self, request, pair):
+        system = request.getfixturevalue(pair)
+        pd = request.getfixturevalue(pair + "_pd")
+        x = kc.StateVector.of([[1.0], [1.0] * system.dims[1]])
+        Ns = (1, 2, 3) + LAPLACE_NS
+        table = kc.laplace_table(system, pd, x, Ns)
+        checked = 0
+        for m, mode in enumerate(system.modes):
+            for N, avg in zip(Ns, table[mode]):
+                if isinstance(avg, str):
+                    continue
+                exact, scale = _closed_form_mean(system, pd, x.stacked(), m, N)
+                assert abs(avg - exact) <= 1e-11 * scale, (mode, N)
+                checked += 1
+        assert checked >= len(Ns) * (len(system.modes) - 1)
+
+    @pytest.mark.xfail(strict=True, reason="the status rule labels a noise-dominated average ok")
+    def test_noise_dominated_average_not_ok(self, diag_pair, diag_pair_pd):
+        # At N = 50 rounding noise along 0.9 dominates the deflated (2, 2)
+        # average, 13 (ceiling + |phi|) from the exact mean, far inside the
+        # 10 ceiling + 1e3 (1 + |phi|) limit of the status rule.
+        x = kc.StateVector.of([[1.0], [1.0, 1.0]])
+        [avg] = kc.laplace_table(diag_pair, diag_pair_pd, x, (50,))[(2, 2)]
+        exact, scale = _closed_form_mean(diag_pair, diag_pair_pd, x.stacked(), 2, 50)
+        assert isinstance(avg, str) or abs(avg - exact) <= 1e-11 * scale
+
+    def test_failed_mode_fails_at_every_larger_n(self, diag_pair, diag_pair_pd):
+        # rounding noise along 0.9 takes over the deflated (2, 2) average
+        x = kc.StateVector.of([[1.0], [1.0, 1.0]])
+        row = kc.laplace_table(diag_pair, diag_pair_pd, x, (10, 400, 1000))[(2, 2)]
+        assert not isinstance(row[0], str)
+        assert row[1:] == [INCOMPLETE, INCOMPLETE]
+
+    def test_grid_must_increase(self, scalar_pair, scalar_pair_pd):
+        x = kc.StateVector.of([[1.0], [1.0]])
+        for Ns in ((100, 10), (0, 10), (10, 10), ()):
+            with pytest.raises(ValueError):
+                kc.laplace_table(scalar_pair, scalar_pair_pd, x, Ns)
 
 
 class TestPeripheralTolerance:
