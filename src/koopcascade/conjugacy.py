@@ -321,8 +321,10 @@ def check_nonlinear_eigenfunction_decay(
     predicted = sys.lams**t * (sys.Vinv @ (pd.P @ X[0]))
     norm_pow = np.repeat(sys.norms, sys.dims) ** t
     linear = checked_orbit(sys, sys.A, X[0], T, "Lin")
-    ratios = np.abs(X @ sys.Vinv.T - predicted) / norm_pow
-    ratios_lin = np.abs(linear @ sys.Vinv.T - predicted) / norm_pow
+    ratios, ratios_lin = (
+        np.abs(linalg.apply_by_block_rows(Z, sys.Vinv, sys.offsets) - predicted) / norm_pow
+        for Z in (X, linear)
+    )
 
     h = min(agreement_horizon, T)
     discrepancy = np.abs(ratios[: h + 1] - ratios_lin[: h + 1]).max(axis=0)

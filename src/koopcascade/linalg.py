@@ -145,6 +145,32 @@ def layer_norms(X: np.ndarray, offsets: np.ndarray, axis: int = -1) -> np.ndarra
     return np.sqrt(np.add.reduceat(sq, offsets[:-1], axis=axis))
 
 
+def apply_by_block_rows(
+    X: np.ndarray, M: np.ndarray, offsets: np.ndarray, lower: bool = False
+) -> np.ndarray:
+    """X @ M.T for stacked row-states X of shape (..., dim), taken one block
+    row of M at a time; layer k occupies offsets[k]:offsets[k+1].
+
+    M is block diagonal, or block lower triangular where ``lower``, and its
+    blocks outside that pattern are never read: block row k, with rows
+    r = offsets[k]:offsets[k+1], is X[..., c] @ M[r, c].T with columns
+    c = r, or c = 0:offsets[k+1] where ``lower``.
+
+    Skipping the zero blocks cuts the flops about n-fold for n layers and
+    keeps each product small on narrow layers. That matters beyond the
+    flops: OpenBLAS hands a complex gemm with m*n*k above 65,536 to a second
+    thread, which then spins for about 0.1 s of CPU, and at 7 layers of
+    width 2-6 and T = 200 no block-row product reaches that size. The result
+    agrees with the dense product to rounding, as BLAS may sum the shorter
+    rows in another order.
+    """
+    out = np.empty(X.shape[:-1] + (M.shape[0],), dtype=np.result_type(X, M))
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        start = 0 if lower else a
+        out[..., a:b] = X[..., start:b] @ M[a:b, start:b].T
+    return out
+
+
 def block_matrix(
     dims: Sequence[int], blocks: Mapping[tuple[int, int], np.ndarray]
 ) -> np.ndarray:

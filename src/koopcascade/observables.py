@@ -178,17 +178,21 @@ def eigenfunction_residuals(
 
     For each sample x and t in 1..horizon the residual of f = psi o pert is
     |f(orbit_t(x)) - lambda^t f(x)| / max(1, |f(x)|); exactness of the
-    construction means these stay at rounding level. All pairs are read off
-    one stacked orbit per sample.
+    construction means these stay at rounding level. All pairs and samples
+    are read off one orbit of the samples stacked as columns.
     """
-    lam_t = sys.lams ** np.arange(1, horizon + 1)[:, None]
-    worst = np.zeros(len(sys.modes))
     for x in sample_points:
         check_state(sys, x)
-        orbit = checked_orbit(sys, sys.A, x.stacked(), horizon, "Lin")
-        f = (orbit @ pd.P.T) @ sys.Vinv.T
-        resid = np.abs(f[1:] - lam_t * f[0]) / np.maximum(1.0, np.abs(f[0]))
-        worst = np.maximum(worst, resid.max(axis=0, initial=0.0))
+    worst = np.zeros(len(sys.modes))
+    if sample_points:
+        x0 = np.stack([x.stacked() for x in sample_points], axis=1)
+        # In place where possible: the orbit is one column per sample, and
+        # each temporary of its size would raise the CLI's peak memory.
+        f = np.matmul(pd.P, checked_orbit(sys, sys.A, x0, horizon, "Lin"))
+        np.matmul(sys.Vinv, f, out=f)
+        f[1:] -= sys.lams[:, None] ** np.arange(1, horizon + 1)[:, None, None] * f[0]
+        resid = np.abs(f[1:]) / np.maximum(1.0, np.abs(f[0]))
+        worst = resid.max(axis=(0, 2), initial=0.0)
     return dict(zip(sys.modes, worst.tolist()))
 
 
@@ -439,7 +443,8 @@ def check_eigenfunction_bounds(
     layer_of = np.repeat(np.arange(sys.n), sys.dims)
     # f(orbit_t) against lambda^t f(pert x), every (i, s) at once.
     base_vals = sys.Vinv @ (pd.P @ x0.stacked())
-    diffs = np.abs(orbit @ sys.Vinv.T - sys.lams ** t_grid[:, None] * base_vals)
+    values = linalg.apply_by_block_rows(orbit, sys.Vinv, sys.offsets)
+    diffs = np.abs(values - sys.lams ** t_grid[:, None] * base_vals)
     row_norms = np.linalg.norm(sys.Vinv, axis=1)
     bound = row_norms * es.bound_decaying.T[:, layer_of] + slack
     max_viol = float(np.max(diffs - bound))

@@ -161,7 +161,9 @@ def compute_error_series(
     abs_err = linalg.layer_norms(lin - nom, sys.offsets).T
 
     t_grid = np.arange(T + 1)
-    propagated = (sys.lams ** t_grid[:, None] * (sys.Vinv @ px)) @ sys.V.T
+    propagated = linalg.apply_by_block_rows(
+        sys.lams ** t_grid[:, None] * (sys.Vinv @ px), sys.V, sys.offsets
+    )
     propagated[0] = px
     d_norms = np.zeros((sys.n, sys.n))
     for (i, j), norm in pd.d_norms().items():

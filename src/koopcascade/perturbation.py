@@ -201,7 +201,9 @@ class ClosedFormSolution:
                 f"state dims {x.dims} != system dims {self.sys.dims}"
             )
         coeffs = self.sys.Vinv @ (self.pd.P @ x.stacked())
-        return (self.sys.lams ** ts[:, None] * coeffs) @ self._QV.T
+        return linalg.apply_by_block_rows(
+            self.sys.lams ** ts[:, None] * coeffs, self._QV, self.sys.offsets, lower=True
+        )
 
     def at(self, x: StateVector, t: int) -> StateVector:
         """State of the coupled orbit at step t >= 0 from initial condition x."""

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import koopcascade as kc
-from koopcascade import linalg
+from koopcascade import conjugacy, linalg
+from tests.conftest import cli_cascade
 
 
 class TestEigDecompose:
@@ -123,6 +126,69 @@ class TestCompositeNorm:
         assert kc.composite_norm([alpha * x[0]]) == pytest.approx(
             abs(alpha) * kc.composite_norm(x), rel=1e-12, abs=1e-12
         )
+
+
+def _block_operators(system):
+    """V and Vinv (block diagonal) and Q V (block lower triangular), each
+    with the flag that apply_by_block_rows takes for it."""
+    QV = kc.compute_perturbation(system).Q @ system.V
+    return [(system.V, False), (system.Vinv, False), (QV, True)]
+
+
+class TestApplyByBlockRows:
+    @pytest.mark.parametrize("case", ["scalar_pair", "general_triple", "seed45"])
+    def test_matches_dense_product(self, case, request):
+        system = cli_cascade(45) if case == "seed45" else request.getfixturevalue(case)
+        dim = system.offsets[-1]
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-1, 1, (201, dim)) + 1j * rng.uniform(-1, 1, (201, dim))
+        u = np.finfo(float).eps
+        for M, lower in _block_operators(system):
+            got = linalg.apply_by_block_rows(X, M, system.offsets, lower=lower)
+            err = np.linalg.norm(got - X @ M.T)
+            assert err <= 4 * dim * u * np.linalg.norm(X) * np.linalg.norm(M)
+
+    def test_reads_only_the_block_pattern(self, general_triple):
+        # blocks outside the pattern are poisoned; no nan may reach the result
+        off = general_triple.offsets
+        X = np.arange(6.0).reshape(2, 3) + 1j
+        for M, lower in _block_operators(general_triple):
+            poisoned = np.where(np.tril(np.ones((3, 3))) if lower else np.eye(3), M, np.nan)
+            got = linalg.apply_by_block_rows(X, poisoned, off, lower=lower)
+            np.testing.assert_allclose(got, X @ M.T, rtol=1e-14, atol=0)
+
+    def test_keeps_leading_axes(self, general_triple):
+        M = general_triple.V
+        X = np.ones((4, 5, 3), dtype=complex)
+        assert linalg.apply_by_block_rows(X, M, general_triple.offsets).shape == (4, 5, 3)
+        assert linalg.apply_by_block_rows(X[0, 0], M, general_triple.offsets).shape == (3,)
+
+
+class TestNoSecondBlasThread:
+    def test_orbit_checks_spend_no_cpu_beyond_wall(self):
+        # OpenBLAS hands a complex gemm with m*n*k above 65,536 to a second
+        # thread that then spins for about 0.1 s of CPU; a (201, 30) by
+        # (30, 30) product crosses it. The first sleep lets a spin left by
+        # earlier work end before the window opens, the second lets one
+        # started inside the window end before process CPU is read. With
+        # one core or one BLAS thread the test passes trivially.
+        system = cli_cascade(45)
+        pd = kc.compute_perturbation(system)
+        x0 = system.random_state(np.random.default_rng(12))
+        T = 200
+        nl = conjugacy.NonlinearCascade(system, kc.identity_conjugacy())
+        _, X = conjugacy.conjugated_orbit(nl, system.A, x0.stacked(), T)
+        closed_form = kc.ClosedFormSolution(system, pd)
+        time.sleep(0.3)
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        kc.compute_error_series(system, pd, x0, T)
+        kc.check_eigenfunction_bounds(system, pd, x0, T)
+        conjugacy.check_nonlinear_eigenfunction_decay(nl, pd, X)
+        closed_form.trace(x0, T)
+        wall = time.perf_counter() - wall0
+        time.sleep(0.3)
+        excess = time.process_time() - cpu0 - wall
+        assert excess < 0.05, f"{excess * 1e3:.1f} ms of CPU beyond wall"
 
 
 class TestRandomMatrixWithNorm:

@@ -184,6 +184,38 @@ class TestEigenfunctionResidual:
         assert max(res.values()) < 1e-8
 
 
+    def test_batched_matches_per_sample_loop(self):
+        # the per-sample loop the batched sweep replaced, as the oracle. With
+        # the system's own P every residual is rounding noise, and the two
+        # summation orders differ at that scale, u ||Vinv|| ||P||. With the
+        # P of another cascade the residuals are of order 1 and must agree
+        # to 1e-13.
+        system = cli_cascade(45)
+        other = kc.random_chained_cascade(
+            list(system.dims), list(system.norms), np.random.default_rng(8)
+        )
+        rng = np.random.default_rng(7)
+        samples = [system.random_state(rng) for _ in range(20)]
+        horizon = 50
+        lam_t = system.lams ** np.arange(1, horizon + 1)[:, None]
+        own = kc.compute_perturbation(system)
+        rounding = np.finfo(float).eps * kc.operator_norm(system.Vinv) * kc.operator_norm(own.P)
+        for pd, atol in [(kc.compute_perturbation(other), 1e-13), (own, rounding)]:
+            worst = np.zeros(len(system.modes))
+            for x in samples:
+                orbit = stacked_orbit(system.A, x.stacked(), horizon)
+                f = (orbit @ pd.P.T) @ system.Vinv.T
+                resid = np.abs(f[1:] - lam_t * f[0]) / np.maximum(1.0, np.abs(f[0]))
+                worst = np.maximum(worst, resid.max(axis=0))
+            res = kc.eigenfunction_residuals(system, pd, samples, horizon=horizon)
+            assert list(res) == list(system.modes)
+            np.testing.assert_allclose(list(res.values()), worst, rtol=1e-13, atol=atol)
+
+    def test_no_samples(self, scalar_pair, scalar_pair_pd):
+        res = kc.eigenfunction_residuals(scalar_pair, scalar_pair_pd, [], horizon=5)
+        assert res == {(1, 1): 0.0, (2, 1): 0.0}
+
+
 class TestEigenfunctionBounds:
     def test_replica_bounds_and_decay(self, replica):
         sys_, pd, x0 = replica
