@@ -34,9 +34,7 @@ from .conjugacy import (
     conjugacy_from_json,
     conjugated_orbit,
     identity_conjugacy,
-    iterate_nonlinear,
     polynomial_conjugacy,
-    round_trip_error,
 )
 from .errors import (
     CascadeError,
@@ -50,7 +48,6 @@ from .errors import (
     NotPeripheralError,
     OrbitOverflowError,
     ResonantPairError,
-    SameLayerProductError,
     SingularMatrixError,
 )
 from .linalg import (
@@ -64,18 +61,12 @@ from .linalg import (
     random_unit_vector,
 )
 from .observables import (
-    PrincipalEigenfunction,
-    ProductEigenfunction,
     check_eigenfunction_bounds,
-    compose_with_perturbation,
     eigenfunction_residuals,
-    extend_to_cascade,
-    koopman_apply,
+    inherited_eigenfunctions,
     laplace_average,
     laplace_table,
     peripheral_modes,
-    principal_eigenfunction,
-    product_eigenfunction,
 )
 from .orbits import (
     ErrorSeries,
@@ -87,7 +78,6 @@ from .orbits import (
     iterate_lin,
     iterate_nom,
     lin_step,
-    nom_step,
 )
 from .perturbation import (
     ClosedFormSolution,
@@ -119,9 +109,7 @@ __all__ = [
     "conjugacy_from_json",
     "conjugated_orbit",
     "identity_conjugacy",
-    "iterate_nonlinear",
     "polynomial_conjugacy",
-    "round_trip_error",
     "CascadeError",
     "ConditionsNotMetError",
     "DeflationIncompleteError",
@@ -133,7 +121,6 @@ __all__ = [
     "NotPeripheralError",
     "OrbitOverflowError",
     "ResonantPairError",
-    "SameLayerProductError",
     "SingularMatrixError",
     "EigDecomposition",
     "composite_norm",
@@ -143,18 +130,12 @@ __all__ = [
     "operator_norm",
     "random_matrix_with_norm",
     "random_unit_vector",
-    "PrincipalEigenfunction",
-    "ProductEigenfunction",
     "check_eigenfunction_bounds",
-    "compose_with_perturbation",
     "eigenfunction_residuals",
-    "extend_to_cascade",
-    "koopman_apply",
+    "inherited_eigenfunctions",
     "laplace_average",
     "laplace_table",
     "peripheral_modes",
-    "principal_eigenfunction",
-    "product_eigenfunction",
     "ErrorSeries",
     "OrbitTrace",
     "check_asymptotic_equivalence",
@@ -164,7 +145,6 @@ __all__ = [
     "iterate_lin",
     "iterate_nom",
     "lin_step",
-    "nom_step",
     "ClosedFormSolution",
     "PerturbationData",
     "apply_perturbation",

@@ -59,15 +59,6 @@ class StateVector:
     def __len__(self) -> int:
         return len(self.layers)
 
-    def __add__(self, other: "StateVector") -> "StateVector":
-        return StateVector(tuple(a + b for a, b in zip(self.layers, other.layers)))
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        return StateVector(tuple(a - b for a, b in zip(self.layers, other.layers)))
-
-    def scale(self, alpha: complex) -> "StateVector":
-        return StateVector(tuple(alpha * a for a in self.layers))
-
 
 @dataclass(frozen=True, eq=False)
 class CascadeSystem:

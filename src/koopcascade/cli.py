@@ -53,6 +53,7 @@ from .observables import (
     check_eigenfunction_bounds,
     eigenfunction_residuals,
     eigenfunction_to_json,
+    inherited_eigenfunctions,
     laplace_table,
     peripheral_modes,
 )
@@ -125,12 +126,17 @@ class ExperimentConfig:
     tol_profile: str = "default"
 
     def norm_schedule(self) -> list[float]:
-        """||L_i|| = norm_base^(layers + 1 - i), strictly increasing, <= 1."""
+        """||L_i|| = norm_base^(layers + 1 - i), positive, strictly increasing, <= 1."""
         sched = [self.norm_base ** (self.layers + 1 - i) for i in range(1, self.layers + 1)]
-        if any(sched[k] >= sched[k + 1] for k in range(len(sched) - 1)) or (
-            sched and sched[-1] > 1.0
+        if not (
+            sched
+            and 0.0 < sched[0]
+            and all(a < b for a, b in zip(sched, sched[1:]))
+            and sched[-1] <= 1.0
         ):
-            raise ValueError(f"norm schedule must be strictly increasing and <= 1: {sched}")
+            raise ValueError(
+                f"norm schedule must be positive, strictly increasing and <= 1: {sched}"
+            )
         return sched
 
     def to_json(self) -> dict:
@@ -251,6 +257,27 @@ def _read_json(path: str, flag: str, parse=lambda obj: obj):
             return parse(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"{flag} {path}: {exc}") from None
+
+
+def _check_numbers(args) -> None:
+    """UsageError for a numeric argument the command cannot use."""
+    if getattr(args, "seed", 0) < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if getattr(args, "horizon", 0) < 0:
+        raise UsageError(f"--horizon must be >= 0, got {args.horizon}")
+    if getattr(args, "layers", 1) < 1:
+        raise UsageError(f"--layers must be >= 1, got {args.layers}")
+    if hasattr(args, "norm_base"):
+        try:
+            ExperimentConfig(layers=args.layers, norm_base=args.norm_base).norm_schedule()
+        except ValueError as exc:
+            raise UsageError(f"--norm-base {args.norm_base}: {exc}") from None
+    if hasattr(args, "dim_min") and not 1 <= args.dim_min <= args.dim_max:
+        raise UsageError(
+            f"--dim-min {args.dim_min} --dim-max {args.dim_max}: need 1 <= min <= max"
+        )
+    if not 0.0 <= getattr(args, "cubic", 0.0) < float("inf"):
+        raise UsageError(f"--cubic must be finite and >= 0, got {args.cubic}")
 
 
 def _load_validated(spec_path: str):
@@ -453,19 +480,22 @@ def write_eigs_tables(
     Returns the written files, the number of pairs swept and the largest
     residual over all pairs.
     """
-    streams = _rng_streams(seed, 3)
-    samples = [system.random_state(streams[1]) for _ in range(20)]
-    x_ref = system.random_state(streams[2])
-    residuals = eigenfunction_residuals(system, pd, samples, horizon=50)
-
     pairs = [
         (i, s)
         for i, s in system.modes
         if (layer is None or i == layer) and (index is None or s == index)
     ]
+    if not pairs:
+        raise UsageError(
+            f"--layer {layer} --index {index} selects no eigenfunction of a "
+            f"cascade with dims {list(system.dims)}"
+        )
+    streams = _rng_streams(seed, 3)
+    samples = [system.random_state(streams[1]) for _ in range(20)]
+    x_ref = system.random_state(streams[2])
+    residuals = eigenfunction_residuals(system, pd, samples, horizon=50)
 
-    # Every (psi_is o pert)(x_ref) at once: the rows of W = Vinv P.
-    refs = dict(zip(system.modes, system.Vinv @ (pd.P @ x_ref.stacked())))
+    refs = dict(zip(system.modes, inherited_eigenfunctions(system, pd, x_ref.stacked())))
     is_peripheral = dict(zip(system.modes, peripheral_modes(system).tolist()))
     table = laplace_table(system, pd, x_ref, LAPLACE_N_GRID, pairs)
     inventory = []
@@ -524,9 +554,13 @@ def cmd_eigs(args) -> int:
     if system is None:
         return EXIT_VALIDATION
     pd = compute_perturbation(system, report)
-    files, swept, worst = write_eigs_tables(
-        system, pd, out_dir, args.seed, args.layer, args.index
-    )
+    try:
+        files, swept, worst = write_eigs_tables(
+            system, pd, out_dir, args.seed, args.layer, args.index
+        )
+    except OrbitOverflowError as exc:
+        print(f"orbit overflow: {exc}", file=_sys.stderr)
+        return EXIT_OVERFLOW
     write_manifest(
         out_dir,
         {"spec": str(args.spec), "seed": args.seed, "layer": args.layer,
@@ -572,7 +606,7 @@ def _repro_single(seed: int, out_dir: Path, args) -> int:
     _write_json(out_dir / "cascade.json", cascade_to_json(system))
     _write_json(out_dir / "conditions.json", report.to_json())
     _write_json(out_dir / "x0.json", state_to_json(x0))
-    _write_json(out_dir / "perturbation.json", perturbation_to_json(pd))
+    _write_json(out_dir / "perturbation.json", perturbation_to_json(system, pd))
 
     conj_spec = {"kind": "polynomialDiagonal", "a": [args.cubic] * cfg.layers}
     profile = TolProfile.named(cfg.tol_profile)
@@ -701,6 +735,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
+        _check_numbers(args)
         return args.func(args)
     except UsageError as exc:
         print(f"koopcascade {args.command}: {exc}", file=_sys.stderr)

@@ -24,7 +24,8 @@ import numpy as np
 from . import linalg
 from .cascade import CascadeSystem, StateVector
 from .errors import DimensionMismatchError, NewtonDivergenceError
-from .orbits import OrbitTrace, check_state, checked_orbit
+from .observables import inherited_eigenfunctions
+from .orbits import checked_orbit
 from .perturbation import PerturbationData
 
 CONJ_TOL = 1e-10
@@ -99,7 +100,6 @@ class Conjugacy:
     kind: str
     forward: Callable[[StateVector], StateVector]
     inverse: Callable[[StateVector], StateVector]
-    inverse_mode: str
     cubic_coeffs: tuple[float, ...] | None = None
 
     def stacked_maps(self, dims: Sequence[int]) -> tuple[Callable, Callable]:
@@ -123,7 +123,6 @@ def identity_conjugacy() -> Conjugacy:
         kind="identity",
         forward=lambda x: x,
         inverse=lambda x: x,
-        inverse_mode="closedForm",
     )
 
 
@@ -144,7 +143,6 @@ def polynomial_conjugacy(coeffs: Sequence[float]) -> Conjugacy:
         kind="polynomialDiagonal",
         forward=on_states(_cubic),
         inverse=on_states(_cubic_inverse),
-        inverse_mode="closedForm" if all(c == 0 for c in a) else "newton",
         cubic_coeffs=a,
     )
 
@@ -156,19 +154,6 @@ def conjugacy_from_json(obj) -> Conjugacy:
     if kind == "polynomialDiagonal":
         return polynomial_conjugacy(obj["a"])
     raise ValueError(f"unknown conjugacy kind {kind!r}")
-
-
-def round_trip_error(
-    conj: Conjugacy,
-    states: Sequence[StateVector],
-) -> float:
-    """Max scaled round-trip error max ||tau(tau^-1(y)) - y|| / (1 + ||y||)."""
-    worst = 0.0
-    for y in states:
-        back = conj.forward(conj.inverse(y))
-        err = linalg.composite_norm(back - y) / (1.0 + linalg.composite_norm(y))
-        worst = max(worst, err)
-    return worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,14 +184,6 @@ def conjugated_orbit(
         Y[t + 1] = forward(M @ X[t])
     X[T] = inverse(Y[T])
     return Y, X
-
-
-def iterate_nonlinear(nl: NonlinearCascade, y0: StateVector, T: int) -> OrbitTrace:
-    """Coupled nonlinear orbit for t = 0..T."""
-    check_state(nl.base, y0)
-    Y, _ = conjugated_orbit(nl, nl.base.A, y0.stacked(), T)
-    states = (y0,) + tuple(StateVector.unstack(y, y0.dims) for y in Y[1:])
-    return OrbitTrace(states=states, kind="NonLin")
 
 
 @dataclass(frozen=True)
@@ -318,7 +295,7 @@ def check_nonlinear_eigenfunction_decay(
     sys = nl.base
     T = len(X) - 1
     t = np.arange(T + 1)[:, None]
-    predicted = sys.lams**t * (sys.Vinv @ (pd.P @ X[0]))
+    predicted = sys.lams**t * inherited_eigenfunctions(sys, pd, X[0])
     norm_pow = np.repeat(sys.norms, sys.dims) ** t
     linear = checked_orbit(sys, sys.A, X[0], T, "Lin")
     ratios, ratios_lin = (

@@ -56,8 +56,3 @@ class NotPeripheralError(CascadeError):
 
 class DeflationIncompleteError(CascadeError):
     """Deflated Laplace average still contains a growing component."""
-
-
-class SameLayerProductError(CascadeError):
-    """Product of two distinct principal eigenfunctions within one layer is
-    outside the product-eigenfunction family."""

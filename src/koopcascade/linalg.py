@@ -64,10 +64,6 @@ class EigDecomposition:
     def dim(self) -> int:
         return int(self.eigenvalues.shape[0])
 
-    def matrix_power(self, t: int) -> np.ndarray:
-        """L**t as V diag(lambda**t) Vinv; t may be negative."""
-        return (self.V * self.eigenvalues**t) @ self.Vinv
-
 
 def _eigenvalue_order(lams: np.ndarray) -> np.ndarray:
     # lexsort uses the LAST key as primary.

@@ -1,166 +1,37 @@
-"""Principal eigenfunctions, their products, and composition-operator checks.
+"""Inherited eigenfunctions of a cascade and their checks.
 
 A layer's s-th principal eigenfunction is the coordinate functional in its
 eigenbasis: psi(x_i) = (s-th row of Vinv_i) . x_i, an eigenfunction of the
 decoupled layer dynamics at the s-th eigenvalue (magnitude-descending
-order; index 0 is the constant function 1). Extended to the full state
-space and composed with the perturbation map, these become exact
-eigenfunctions of the coupled dynamics, which this module verifies by
-residual sweeps and by generalized Laplace (Cesaro) averaging.
+order). Extended to the full state space and composed with the
+perturbation map, it becomes an exact eigenfunction of the coupled
+dynamics; for every mode at once these are Vinv (P x). This module
+evaluates them and verifies them by residual sweeps, bound checks and
+generalized Laplace (Cesaro) averaging.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import linalg
 from .cascade import CascadeSystem, StateVector
-from .errors import (
-    DeflationIncompleteError,
-    DimensionMismatchError,
-    NotPeripheralError,
-    SameLayerProductError,
-)
+from .errors import DeflationIncompleteError, DimensionMismatchError, NotPeripheralError
 from .orbits import check_state, checked_orbit, compute_error_series
-from .perturbation import PerturbationData, apply_perturbation
+from .perturbation import PerturbationData
 
 PERIPHERAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PrincipalEigenfunction:
-    """Coordinate functional of one layer's eigenbasis; constant 1 for index 0."""
-
-    layer: int
-    index: int
-    coeff_row: np.ndarray | None
-    eigenvalue: complex
-
-    def __call__(self, x_layer: np.ndarray) -> complex:
-        if self.coeff_row is None:
-            return 1.0 + 0.0j
-        return complex(self.coeff_row @ np.asarray(x_layer, dtype=np.complex128))
-
-
-def principal_eigenfunction(sys: CascadeSystem, i: int, s: int) -> PrincipalEigenfunction:
-    """The s-th principal eigenfunction of layer i (1-based; s = 0 gives the
-    constant function at eigenvalue 1)."""
-    if not 1 <= i <= sys.n:
-        raise IndexError(f"layer {i} out of range 1..{sys.n}")
-    if not 0 <= s <= sys.dims[i - 1]:
-        raise IndexError(f"index {s} out of range 0..{sys.dims[i - 1]} for layer {i}")
-    if s == 0:
-        return PrincipalEigenfunction(layer=i, index=0, coeff_row=None, eigenvalue=1.0 + 0.0j)
-    d = sys.eig_of(i)
-    return PrincipalEigenfunction(
-        layer=i,
-        index=s,
-        coeff_row=d.Vinv[s - 1].copy(),
-        eigenvalue=complex(d.eigenvalues[s - 1]),
-    )
-
-
-@dataclass(frozen=True)
-class ProductEigenfunction:
-    """Factorwise product of per-layer principal eigenfunctions.
-
-    Stored as the multi-index (s_1..s_n) plus the non-constant factors;
-    evaluation is the pointwise product of factor evaluations and the
-    eigenvalue is the product of factor eigenvalues.
-    """
-
-    multi_index: tuple[int, ...]
-    factors: tuple[PrincipalEigenfunction, ...]
-    eigenvalue: complex
-
-    @property
-    def n(self) -> int:
-        return len(self.multi_index)
-
-    def __call__(self, x: StateVector) -> complex:
-        if len(x) != self.n:
-            raise DimensionMismatchError(
-                f"state has {len(x)} layers, eigenfunction expects {self.n}"
-            )
-        val = 1.0 + 0.0j
-        for f in self.factors:
-            val *= f(x.layer(f.layer))
-        return val
-
-    def product(self, other: "ProductEigenfunction") -> "ProductEigenfunction":
-        """Factorwise product; rejects two non-constant factors in one layer."""
-        if self.multi_index == ():
-            return other
-        if self.n != other.n:
-            raise DimensionMismatchError("eigenfunctions live on different cascades")
-        for k, (a, b) in enumerate(zip(self.multi_index, other.multi_index)):
-            if a != 0 and b != 0:
-                raise SameLayerProductError(
-                    f"both factors are non-constant in layer {k + 1} "
-                    f"(indices {a} and {b}); the product leaves the "
-                    "product-eigenfunction family"
-                )
-        merged = tuple(a + b for a, b in zip(self.multi_index, other.multi_index))
-        return ProductEigenfunction(
-            multi_index=merged,
-            factors=self.factors + other.factors,
-            eigenvalue=self.eigenvalue * other.eigenvalue,
-        )
-
-    def __mul__(self, other: "ProductEigenfunction") -> "ProductEigenfunction":
-        return self.product(other)
-
-
-def extend_to_cascade(pe: PrincipalEigenfunction, n: int) -> ProductEigenfunction:
-    """Extend a layer eigenfunction to the full state space: it reads only
-    its own layer and is constant in all others."""
-    if not 1 <= pe.layer <= n:
-        raise IndexError(f"layer {pe.layer} out of range 1..{n}")
-    multi = tuple(pe.index if k == pe.layer - 1 else 0 for k in range(n))
-    factors = (pe,) if pe.index != 0 else ()
-    return ProductEigenfunction(
-        multi_index=multi, factors=factors, eigenvalue=complex(pe.eigenvalue)
-    )
-
-
-def product_eigenfunction(sys: CascadeSystem, multi_index: Sequence[int]) -> ProductEigenfunction:
-    """Build the product eigenfunction for a full multi-index (s_1..s_n)."""
-    if len(multi_index) != sys.n:
-        raise DimensionMismatchError(
-            f"multi-index length {len(multi_index)} != layer count {sys.n}"
-        )
-    out = ProductEigenfunction(
-        multi_index=tuple(0 for _ in range(sys.n)), factors=(), eigenvalue=1.0 + 0.0j
-    )
-    for i, s in enumerate(multi_index, start=1):
-        if s != 0:
-            out = out.product(extend_to_cascade(principal_eigenfunction(sys, i, s), sys.n))
-    return out
-
-
-def compose_with_perturbation(
-    f: Callable[[StateVector], complex], pd: PerturbationData
-) -> Callable[[StateVector], complex]:
-    """The observable f o pert."""
-    return lambda x: complex(f(apply_perturbation(pd, x)))
-
-
-def koopman_apply(
-    step: Callable[[StateVector], StateVector],
-    f: Callable[[StateVector], complex],
-    t: int,
-    x: StateVector,
-) -> complex:
-    """Composition-operator action: evaluate f on the t-step image of x."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    y = x
-    for _ in range(t):
-        y = step(y)
-    return complex(f(y))
+def inherited_eigenfunctions(
+    sys: CascadeSystem, pd: PerturbationData, x: np.ndarray
+) -> np.ndarray:
+    """(psi_m o P)(x) for every mode m, ordered as sys.modes: Vinv (P x) for
+    the stacked state x, or for each column of a (dim, K) batch of them."""
+    return sys.Vinv @ (pd.P @ x)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +313,7 @@ def check_eigenfunction_bounds(
     t_grid = np.arange(T + 1)
     layer_of = np.repeat(np.arange(sys.n), sys.dims)
     # f(orbit_t) against lambda^t f(pert x), every (i, s) at once.
-    base_vals = sys.Vinv @ (pd.P @ x0.stacked())
+    base_vals = inherited_eigenfunctions(sys, pd, x0.stacked())
     values = linalg.apply_by_block_rows(orbit, sys.Vinv, sys.offsets)
     diffs = np.abs(values - sys.lams ** t_grid[:, None] * base_vals)
     row_norms = np.linalg.norm(sys.Vinv, axis=1)
@@ -474,13 +345,14 @@ def check_eigenfunction_bounds(
 def eigenfunction_to_json(
     sys: CascadeSystem, i: int, s: int, composed_with_pert: bool
 ) -> dict:
-    """Wire format for one extended principal eigenfunction."""
-    pe = principal_eigenfunction(sys, i, s)
-    row = pe.coeff_row if pe.coeff_row is not None else np.zeros(0, dtype=np.complex128)
+    """Wire format for the inherited eigenfunction of (layer i, index s)."""
+    if not (1 <= i <= sys.n and 1 <= s <= sys.dims[i - 1]):
+        raise IndexError(f"no eigenfunction ({i}, {s}) in a cascade of dims {sys.dims}")
+    d = sys.eig_of(i)
     return {
         "layer": int(i),
         "index": int(s),
-        "eigenvalue": linalg.complex_to_json(pe.eigenvalue),
-        "coeff_row": linalg.matrix_to_json(row.reshape(1, -1)),
+        "eigenvalue": linalg.complex_to_json(d.eigenvalues[s - 1]),
+        "coeff_row": linalg.matrix_to_json(d.Vinv[s - 1].reshape(1, -1)),
         "composed_with_pert": bool(composed_with_pert),
     }

@@ -57,11 +57,6 @@ def lin_step(sys: CascadeSystem, x: StateVector) -> StateVector:
     return StateVector.unstack(sys.A @ x.stacked(), sys.dims)
 
 
-def nom_step(sys: CascadeSystem, x: StateVector) -> StateVector:
-    """One step of the decoupled system (couplings ignored)."""
-    return StateVector.unstack(sys.N @ x.stacked(), sys.dims)
-
-
 def stacked_orbit(M: np.ndarray, x0: np.ndarray, T: int) -> np.ndarray:
     """[x0, M x0, ..., M^T x0] along a new leading axis; x0 is one stacked
     state of shape (dim,) or a batch of them as the columns of (dim, K)."""
@@ -166,9 +161,9 @@ def compute_error_series(
     )
     propagated[0] = px
     d_norms = np.zeros((sys.n, sys.n))
-    for (i, j), norm in pd.d_norms().items():
-        if j < i:
-            d_norms[i - 1, j - 1] = norm
+    for i in range(2, sys.n + 1):
+        for j in range(1, i):
+            d_norms[i - 1, j - 1] = linalg.operator_norm(pd.D(i, j))
     bound_a = d_norms @ linalg.layer_norms(propagated, sys.offsets).T
 
     norms = np.asarray(sys.norms)

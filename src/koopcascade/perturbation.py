@@ -26,8 +26,6 @@ x_t = Q N^t P x exactly; with D[(i, j)] = (-1)^(i-j) Q_ij it reads
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -66,54 +64,22 @@ def geometric_sum_solve(B, lam_rows, lam_cols) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PerturbationData:
-    """Perturbation map P and its inverse Q for one system, by blocks.
-
-    pert_blocks[i-1][j-1] is block (i, j) of P and d maps (i, j) with
-    1 <= j <= i <= n to D[(i, j)] = (-1)^(i-j) Q_ij; both diagonals are
-    exact identities. ctilde holds Lam_i V_i^-1 D[(i, j)] V_j for j < i,
-    kept for the JSON export.
-    """
+    """Perturbation map P and its exact inverse Q on the stacked state of a
+    cascade with these layer dims; both are block lower triangular with
+    exact identity diagonal blocks."""
 
     dims: tuple[int, ...]
-    d: Mapping[tuple[int, int], np.ndarray]
-    ctilde: Mapping[tuple[int, int], np.ndarray]
-    pert_blocks: tuple[tuple[np.ndarray, ...], ...]
+    P: np.ndarray
+    Q: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.dims)
-
-    def pert_row_matrix(self, i: int) -> np.ndarray:
-        """Block row i of P, (P_i1 .. P_ii), as one matrix of shape (d_i, d_1+..+d_i)."""
-        return np.hstack(self.pert_blocks[i - 1])
+    def D(self, i: int, j: int) -> np.ndarray:
+        """Block D[(i, j)] = (-1)^(i-j) Q_ij of the closed form (1 <= j <= i)."""
+        off = np.cumsum((0,) + self.dims)
+        return (-1.0) ** (i - j) * self.Q[off[i - 1] : off[i], off[j - 1] : off[j]]
 
     def as_matrix(self) -> np.ndarray:
-        """Full perturbation map as one block lower-triangular matrix with
-        identity diagonal blocks."""
+        """A copy of P."""
         return self.P.copy()
-
-    @cached_property
-    def P(self) -> np.ndarray:
-        """The perturbation map on the stacked state."""
-        return linalg.block_matrix(
-            self.dims,
-            {
-                (i, j): b
-                for i, row in enumerate(self.pert_blocks, start=1)
-                for j, b in enumerate(row, start=1)
-            },
-        )
-
-    @cached_property
-    def Q(self) -> np.ndarray:
-        """Exact inverse of P, formed without inversion: block (i, j) is
-        (-1)^(i-j) D[(i, j)]."""
-        return linalg.block_matrix(
-            self.dims, {(i, j): (-1.0) ** (i - j) * m for (i, j), m in self.d.items()}
-        )
-
-    def d_norms(self) -> dict[tuple[int, int], float]:
-        return {key: linalg.operator_norm(m) for key, m in self.d.items()}
 
 
 def compute_perturbation(
@@ -148,28 +114,7 @@ def compute_perturbation(
             )
     if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
         raise ConditionsNotMetError("non-finite perturbation data")
-
-    def block(M: np.ndarray, i: int, j: int) -> np.ndarray:
-        return M[off[i - 1] : off[i], off[j - 1] : off[j]]
-
-    d = {
-        (i, j): (-1.0) ** (i - j) * block(Q, i, j)
-        for i in range(1, n + 1)
-        for j in range(1, i + 1)
-    }
-    ctilde = {}
-    for (i, j), m in d.items():
-        if j < i:
-            ei = sys.eig_of(i)
-            ctilde[(i, j)] = ei.eigenvalues[:, None] * (ei.Vinv @ m @ sys.eig_of(j).V)
-    return PerturbationData(
-        dims=sys.dims,
-        d=d,
-        ctilde=ctilde,
-        pert_blocks=tuple(
-            tuple(block(P, i, j) for j in range(1, i + 1)) for i in range(1, n + 1)
-        ),
-    )
+    return PerturbationData(dims=sys.dims, P=P, Q=Q)
 
 
 def apply_perturbation(pd: PerturbationData, x: StateVector) -> StateVector:
@@ -226,15 +171,21 @@ class ClosedFormSolution:
 # ---------------------------------------------------------------------------
 
 
-def perturbation_to_json(pd: PerturbationData) -> dict:
+def perturbation_to_json(sys: CascadeSystem, pd: PerturbationData) -> dict:
+    """Every D[(i, j)], Ctilde[(i, j)] = Lam_i V_i^-1 D[(i, j)] V_j for j < i,
+    and each block row (P_i1 .. P_ii) of P."""
+    off = sys.offsets
+    D = {(i, j): pd.D(i, j) for i in range(1, sys.n + 1) for j in range(1, i + 1)}
+    ctilde = {}
+    for (i, j), m in D.items():
+        if j < i:
+            ei = sys.eig_of(i)
+            ctilde[(i, j)] = ei.eigenvalues[:, None] * (ei.Vinv @ m @ sys.eig_of(j).V)
     return {
-        "D": {
-            f"{i},{j}": linalg.matrix_to_json(m)
-            for (i, j), m in sorted(pd.d.items())
-        },
-        "Ctilde": {
-            f"{i},{j}": linalg.matrix_to_json(m)
-            for (i, j), m in sorted(pd.ctilde.items())
-        },
-        "pert": [linalg.matrix_to_json(pd.pert_row_matrix(i)) for i in range(1, pd.n + 1)],
+        "D": {f"{i},{j}": linalg.matrix_to_json(m) for (i, j), m in D.items()},
+        "Ctilde": {f"{i},{j}": linalg.matrix_to_json(m) for (i, j), m in ctilde.items()},
+        "pert": [
+            linalg.matrix_to_json(pd.P[off[i - 1] : off[i], : off[i]])
+            for i in range(1, sys.n + 1)
+        ],
     }

@@ -23,6 +23,11 @@ def scalar_pair_pd(scalar_pair):
     return kc.compute_perturbation(scalar_pair)
 
 
+def state_gap(x, y) -> float:
+    """Composite norm of the layerwise difference of two StateVectors."""
+    return kc.composite_norm(a - b for a, b in zip(x, y))
+
+
 def make_replica(seed: int, layers: int = 7):
     """Reference experiment system: random dims in 2..6, layer norms
     0.9^(layers+1-i), chain couplings uniform in [-1, 1]."""

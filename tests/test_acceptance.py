@@ -159,18 +159,16 @@ def test_criterion_5_eigenfunction_exactness(suite):
 def test_criterion_6_hand_checked_example(scalar_pair, scalar_pair_pd):
     """Scalar two-layer system: every constructed quantity to 1e-12."""
     pd = scalar_pair_pd
-    ct = abs(pd.ctilde[(2, 1)][0, 0] - 2.25)
-    d = abs(pd.d[(2, 1)][0, 0] - 2.5)
-    p = abs(pd.pert_blocks[1][0][0, 0] - 2.5)
-    f = kc.compose_with_perturbation(
-        kc.product_eigenfunction(scalar_pair, [0, 1]), scalar_pair_pd
-    )
+    ctilde = kc.matrix_from_json(kc.perturbation_to_json(scalar_pair, pd)["Ctilde"]["2,1"])
+    ct = abs(ctilde[0, 0] - 2.25)
+    d = abs(pd.D(2, 1)[0, 0] - 2.5)
+    p = abs(pd.P[1, 0] - 2.5)
+    # psi_2 o P, evaluated before and after one coupled step
     rng = np.random.default_rng(6)
-    worst_eig = 0.0
-    for _ in range(50):
-        x = scalar_pair.random_state(rng)
-        lhs = f(kc.lin_step(scalar_pair, x))
-        worst_eig = max(worst_eig, abs(lhs - 0.9 * f(x)))
+    X = np.stack([scalar_pair.random_state(rng).stacked() for _ in range(50)], axis=1)
+    f = kc.inherited_eigenfunctions(scalar_pair, pd, X)[1]
+    lhs = kc.inherited_eigenfunctions(scalar_pair, pd, scalar_pair.A @ X)[1]
+    worst_eig = float(np.max(np.abs(lhs - 0.9 * f)))
     ok = ct < 1e-12 and d < 1e-12 and p < 1e-12 and worst_eig < 1e-12
     _report(
         6,

@@ -16,13 +16,6 @@ class TestStateVector:
         with pytest.raises(IndexError):
             x.layer(3)
 
-    def test_arithmetic(self):
-        x = kc.StateVector.of([[1.0, 2.0]])
-        y = kc.StateVector.of([[0.5, -1.0]])
-        np.testing.assert_allclose((x + y).layer(1), [1.5, 1.0])
-        np.testing.assert_allclose((x - y).layer(1), [0.5, 3.0])
-        np.testing.assert_allclose(x.scale(2.0).layer(1), [2.0, 4.0])
-
 
 class TestValidateConditions:
     def test_scalar_pair_passes(self, scalar_pair):

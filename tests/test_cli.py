@@ -75,7 +75,7 @@ class TestGenerate:
         assert run("generate", "--layers", 1, "--seed", 3, "--out-dir", out) == 0
         sys_, rep = kc.load_cascade(out / "cascade.json")
         pd = kc.compute_perturbation(sys_, rep)
-        np.testing.assert_array_equal(pd.pert_row_matrix(1), np.eye(sys_.dims[0]))
+        np.testing.assert_array_equal(pd.P, np.eye(sys_.dims[0]))
 
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -240,8 +240,8 @@ class TestEigs:
         ref = kc.state_from_json(inv["reference_state"])
         sys_, rep_ = kc.load_cascade(scalar_spec)
         pd = kc.compute_perturbation(sys_, rep_)
-        f = kc.compose_with_perturbation(kc.product_eigenfunction(sys_, [0, 1]), pd)
-        assert n1000["abs_error"] < 5e-3 * abs(f(ref))
+        target = kc.inherited_eigenfunctions(sys_, pd, ref.stacked())[1]
+        assert n1000["abs_error"] < 5e-3 * abs(target)
 
     def test_layer_filter(self, tmp_path, scalar_spec):
         out = tmp_path / "eigs2"
@@ -274,6 +274,19 @@ class TestEigs:
                    "--out-dir", tmp_path / "e12")
         assert code == 5
         assert "exceeds" in capsys.readouterr().err
+
+
+    def test_orbit_overflow_exit_4(self, tmp_path, capsys):
+        # a valid spec whose coupling 1e13 drives the sample orbits past the
+        # overflow limit, as verify and simulate see it too
+        spec = tmp_path / "loud.json"
+        kc.save_cascade(kc.CascadeSystem.build(
+            [np.array([[0.5]]), np.array([[0.9]])], {(2, 1): np.array([[1e13]])}
+        ), spec)
+        for command in ("eigs", "verify", "simulate"):
+            assert run(command, "--spec", spec, "--out-dir", tmp_path / command) == 4
+            err = capsys.readouterr().err
+            assert "orbit overflow" in err and "Traceback" not in err
 
 
 class TestReproPaper:
@@ -339,6 +352,26 @@ class TestBadFileArguments:
         err = capsys.readouterr().err
         assert code == 2
         assert flag in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["repro-paper", "--layers", 0],
+        ["repro-paper", "--horizon", -1],
+        ["simulate", "--spec", "SPEC", "--horizon", -1],
+        ["repro-paper", "--norm-base", 1.1],
+        ["generate", "--norm-base", 1.2],
+        ["generate", "--dim-min", 5, "--dim-max", 2],
+        ["generate", "--dim-min", 0, "--seed", 1],
+        ["eigs", "--spec", "SPEC", "--layer", 99],
+        ["eigs", "--spec", "SPEC", "--index", 0],
+        ["repro-paper", "--seed", -1],
+        ["repro-paper", "--cubic", -1],
+    ], ids=lambda argv: " ".join(map(str, argv)))
+    def test_unusable_numbers_exit_2(self, tmp_path, capsys, scalar_spec, argv):
+        argv = [scalar_spec if a == "SPEC" else a for a in argv]
+        assert run(*argv, "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"koopcascade {argv[0]}: ") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
     def test_process_stderr_has_no_traceback(self, tmp_path):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import koopcascade as kc
-from koopcascade import conjugacy
+from koopcascade import conjugacy, linalg
 from koopcascade.cli import NONLINEAR_CHECKS, TolProfile, run_checks
-from tests.conftest import cli_cascade
+from koopcascade.orbits import stacked_orbit
+from tests.conftest import cli_cascade, state_gap
 
 
 def bisect_cubic_root(w: float, a: float, lo: float, hi: float, iters: int = 200) -> float:
@@ -32,9 +33,8 @@ class TestPolynomialConjugacy:
     def test_zero_coeffs_behave_as_identity(self, scalar_pair):
         conj = kc.polynomial_conjugacy([0.0, 0.0])
         x = scalar_pair.random_state(np.random.default_rng(0))
-        assert kc.composite_norm(conj.forward(x) - x) == 0.0
-        assert kc.composite_norm(conj.inverse(x) - x) == 0.0
-        assert conj.inverse_mode == "closedForm"
+        assert state_gap(conj.forward(x), x) == 0.0
+        assert state_gap(conj.inverse(x), x) == 0.0
 
     def test_scalar_forward_value(self):
         conj = kc.polynomial_conjugacy([0.1])
@@ -59,15 +59,14 @@ class TestPolynomialConjugacy:
         assert np.all(u.imag == 0.0)
 
     def test_round_trip_on_unit_ball(self, cubic_conj):
+        # ||tau(tau^-1(y)) - y|| / (1 + ||y||) on 1000 states of the unit
+        # ball; both layers are scalar, so the composite norm is the 1-norm
         rng = np.random.default_rng(1)
-        states = []
-        for _ in range(1000):
-            raw = [rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1) for _ in range(2)]
-            x = kc.StateVector.of(raw)
-            nrm = kc.composite_norm(x)
-            if nrm > 0:
-                states.append(x.scale(rng.uniform(0, 1) / nrm))
-        assert kc.round_trip_error(cubic_conj, states) < 1e-10
+        raw = rng.uniform(-1, 1, (1000, 2)) + 1j * rng.uniform(-1, 1, (1000, 2))
+        Y = raw * (rng.uniform(0, 1, 1000) / np.abs(raw).sum(axis=1))[:, None]
+        forward, inverse = cubic_conj.stacked_maps((1, 1))
+        err = np.abs(forward(inverse(Y)) - Y).sum(axis=1) / (1 + np.abs(Y).sum(axis=1))
+        assert err.max() < 1e-10
 
     def test_origin_fixed(self, cubic_conj):
         zero = kc.StateVector.of([[0.0], [0.0]])
@@ -87,30 +86,33 @@ class TestPolynomialConjugacy:
 class TestIterateNonlinear:
     def test_identity_conjugacy_matches_linear(self, scalar_pair):
         nl = kc.NonlinearCascade(base=scalar_pair, conj=kc.identity_conjugacy())
-        x0 = kc.StateVector.of([[1.0], [1.0]])
-        lin = kc.iterate_lin(scalar_pair, x0, 20)
-        non = kc.iterate_nonlinear(nl, x0, 20)
-        for t in range(21):
-            assert kc.composite_norm(lin[t] - non[t]) == 0.0
+        x0 = np.array([1.0, 1.0], dtype=complex)
+        Y, X = kc.conjugated_orbit(nl, scalar_pair.A, x0, 20)
+        lin = stacked_orbit(scalar_pair.A, x0, 20)
+        assert np.array_equal(Y, lin)
+        assert np.array_equal(X, lin)
 
     def test_stepwise_equals_single_conjugation(self, replica):
-        # two-path oracle: tau(Lin^t(tau^-1(y))) vs repeated conjugated steps
+        # two-path oracle: tau(Lin^t(tau^-1(y))) vs repeated conjugated
+        # steps, and Lin^t(tau^-1(y)) vs the tau^-1 the loop kept
         sys_, _, x0 = replica
         conj = kc.polynomial_conjugacy([0.1] * sys_.n)
         nl = kc.NonlinearCascade(base=sys_, conj=conj)
-        y0 = conj.forward(x0)
-        stepped = kc.iterate_nonlinear(nl, y0, 50)
-        lin = kc.iterate_lin(sys_, conj.inverse(y0), 50)
-        for t in range(51):
-            direct = conj.forward(lin[t])
-            err = kc.composite_norm(stepped[t] - direct)
-            assert err <= 1e-8 * (1 + kc.composite_norm(stepped[t]))
+        forward, inverse = conj.stacked_maps(sys_.dims)
+        y0 = forward(x0.stacked())
+        Y, X = kc.conjugated_orbit(nl, sys_.A, y0, 50)
+        lin = stacked_orbit(sys_.A, inverse(y0), 50)
+
+        def composite(Z):
+            return linalg.layer_norms(Z, sys_.offsets).sum(axis=1)
+
+        assert np.all(composite(Y - forward(lin)) <= 1e-8 * (1 + composite(Y)))
+        assert np.all(composite(X - lin) <= 1e-8 * (1 + composite(lin)))
 
     def test_zero_fixed_point(self, scalar_pair):
         nl = kc.NonlinearCascade(base=scalar_pair, conj=kc.polynomial_conjugacy([0.1, 0.1]))
-        trace = kc.iterate_nonlinear(nl, scalar_pair.zero_state(), 10)
-        for t in range(11):
-            assert kc.composite_norm(trace[t]) == 0.0
+        Y, X = kc.conjugated_orbit(nl, scalar_pair.A, np.zeros(2, dtype=complex), 10)
+        assert np.all(Y == 0) and np.all(X == 0)
 
 
 class TestEigenfunctionTransfer:
@@ -121,12 +123,13 @@ class TestEigenfunctionTransfer:
         nl = kc.NonlinearCascade(base=sys_, conj=conj)
         rng = np.random.default_rng(2)
         for i in (1, sys_.n):
-            psi = kc.principal_eigenfunction(sys_, i, 1)
+            m = sys_.offsets[i - 1]  # mode (i, 1)
+            psi = sys_.Vinv[m]
             for _ in range(10):
                 y = conj.forward(sys_.random_state(rng, layer_norm=0.2))
                 _, X = kc.conjugated_orbit(nl, sys_.N, y.stacked(), 1)
-                lhs = psi(kc.StateVector.unstack(X[1], sys_.dims).layer(i))
-                rhs = psi.eigenvalue * psi(conj.inverse(y).layer(i))
+                lhs = psi @ X[1]
+                rhs = sys_.lams[m] * (psi @ conj.inverse(y).stacked())
                 assert abs(lhs - rhs) <= 1e-9
 
 
@@ -141,7 +144,7 @@ class TestNonlinearEquivalence:
         nom = kc.iterate_nom(sys_, kc.apply_perturbation(pd, x0), 60)
         for t in range(61):
             assert rep.errors[t] == pytest.approx(
-                kc.composite_norm(lin[t] - nom[t]), rel=1e-12, abs=1e-14
+                state_gap(lin[t], nom[t]), rel=1e-12, abs=1e-14
             )
 
     def test_cubic_conjugacy_on_replica(self, replica):
@@ -198,12 +201,12 @@ class TestNonlinearEigenfunctionDecay:
         conj = kc.polynomial_conjugacy([0.1] * sys_.n)
         nl = kc.NonlinearCascade(base=sys_, conj=conj)
         y0 = conj.forward(x0)
-        _, X = kc.conjugated_orbit(nl, sys_.A, y0.stacked(), T)
+        Y, X = kc.conjugated_orbit(nl, sys_.A, y0.stacked(), T)
         reports = kc.check_nonlinear_eigenfunction_decay(
             nl, pd, X, decay_factor=decay_factor, agreement_horizon=h,
             agreement_tol=agreement_tol,
         )
-        xs = [conj.inverse(y) for y in kc.iterate_nonlinear(nl, y0, T).states]
+        xs = [conj.inverse(kc.StateVector.unstack(y, sys_.dims)) for y in Y]
         lin = kc.iterate_lin(sys_, xs[0], T)
         px = kc.apply_perturbation(pd, xs[0])
         assert set(reports) == set(sys_.modes)
@@ -262,7 +265,7 @@ class TestConjugacyJson:
         assert obj == {"kind": "polynomialDiagonal", "a": [0.1, 0.2]}
         back = kc.conjugacy_from_json(obj)
         x = kc.StateVector.of([[0.5], [0.25]])
-        assert kc.composite_norm(back.forward(x) - conj.forward(x)) == 0.0
+        assert state_gap(back.forward(x), conj.forward(x)) == 0.0
 
     def test_identity_round_trip(self):
         obj = kc.identity_conjugacy().to_json()

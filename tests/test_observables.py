@@ -1,4 +1,4 @@
-"""Unit tests for eigenfunctions, composition-operator action, and averages."""
+"""Unit tests for inherited eigenfunctions, their checks, and Laplace averages."""
 
 from __future__ import annotations
 
@@ -29,135 +29,118 @@ def diag_pair_pd(diag_pair):
     return kc.compute_perturbation(diag_pair)
 
 
-class TestPrincipalEigenfunction:
-    def test_index_zero_constant(self, scalar_pair):
-        psi = kc.principal_eigenfunction(scalar_pair, 1, 0)
-        assert psi(np.array([123.0])) == 1.0
-        assert psi.eigenvalue == 1.0
+def _random_states(rng, dim, k):
+    """k random complex states of the given dim, as the columns of one array."""
+    return rng.uniform(-1, 1, (dim, k)) + 1j * rng.uniform(-1, 1, (dim, k))
 
+
+class TestPrincipalEigenfunction:
     def test_scalar_layer(self, scalar_pair):
-        psi = kc.principal_eigenfunction(scalar_pair, 2, 1)
-        assert psi.eigenvalue == pytest.approx(0.9)
-        assert psi(np.array([2.0 + 1.0j])) == pytest.approx(2.0 + 1.0j)
+        d = scalar_pair.eig_of(2)
+        assert d.eigenvalues[0] == pytest.approx(0.9)
+        assert d.Vinv[0] @ np.array([2.0 + 1.0j]) == pytest.approx(2.0 + 1.0j)
 
     def test_diag_layer_picks_dominant(self, diag_pair):
         # oracle: check psi(Lx) = 0.9 psi(x) on random x
-        psi = kc.principal_eigenfunction(diag_pair, 2, 1)
-        assert psi.eigenvalue == pytest.approx(0.9)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
-            lhs = psi(diag_pair.L[1] @ x)
-            assert lhs == pytest.approx(0.9 * psi(x), rel=1e-12, abs=1e-14)
+        d = diag_pair.eig_of(2)
+        assert d.eigenvalues[0] == pytest.approx(0.9)
+        X = _random_states(np.random.default_rng(0), 2, 20)
+        np.testing.assert_allclose(
+            d.Vinv[0] @ (diag_pair.L[1] @ X), 0.9 * (d.Vinv[0] @ X), rtol=1e-12, atol=1e-14
+        )
 
     def test_defining_identity_on_random_systems(self, replica):
+        # each row of V_i^-1 is a left eigenvector of L_i at its eigenvalue
         sys_, _, _ = replica
         rng = np.random.default_rng(1)
         for i in range(1, sys_.n + 1):
-            for s in range(1, sys_.dims[i - 1] + 1):
-                psi = kc.principal_eigenfunction(sys_, i, s)
-                for _ in range(100 // sys_.dims[i - 1]):
-                    x = rng.uniform(-1, 1, sys_.dims[i - 1]) + 1j * rng.uniform(
-                        -1, 1, sys_.dims[i - 1]
-                    )
-                    diff = abs(psi(sys_.L[i - 1] @ x) - psi.eigenvalue * psi(x))
-                    assert diff <= 1e-10 * (1 + abs(psi(x)))
+            d = sys_.eig_of(i)
+            X = _random_states(rng, sys_.dims[i - 1], 100 // sys_.dims[i - 1])
+            psi = d.Vinv @ X
+            diff = np.abs(d.Vinv @ (sys_.L[i - 1] @ X) - d.eigenvalues[:, None] * psi)
+            assert np.all(diff <= 1e-10 * (1 + np.abs(psi)))
 
     def test_index_out_of_range(self, scalar_pair):
-        with pytest.raises(IndexError):
-            kc.principal_eigenfunction(scalar_pair, 1, 2)
-        with pytest.raises(IndexError):
-            kc.principal_eigenfunction(scalar_pair, 3, 0)
+        for i, s in ((1, 2), (3, 1), (1, 0)):
+            with pytest.raises(IndexError):
+                kc.observables.eigenfunction_to_json(scalar_pair, i, s, True)
 
 
 class TestExtendToCascade:
     def test_reads_only_its_layer(self, diag_pair):
-        f = kc.extend_to_cascade(kc.principal_eigenfunction(diag_pair, 2, 1), 2)
-        a = kc.StateVector.of([[1.0], [2.0, 3.0]])
-        b = kc.StateVector.of([[-9.0], [2.0, 3.0]])
-        assert f(a) == f(b)
-        assert f.multi_index == (0, 1)
+        m = diag_pair.modes.index((2, 1))
+        a = np.array([1.0, 2.0, 3.0], dtype=complex)
+        b = np.array([-9.0, 2.0, 3.0], dtype=complex)
+        assert (diag_pair.Vinv @ a)[m] == (diag_pair.Vinv @ b)[m]
+        assert np.all(diag_pair.Vinv[1:, :1] == 0)
 
-    def test_layer1_extension_equals_base(self, scalar_pair):
-        base = kc.principal_eigenfunction(scalar_pair, 1, 1)
-        f = kc.extend_to_cascade(base, 2)
-        x = kc.StateVector.of([[2.5], [7.0]])
-        assert f(x) == pytest.approx(base(x.layer(1)))
-
-    def test_all_zero_multi_index_constant(self, scalar_pair):
-        f = kc.product_eigenfunction(scalar_pair, [0, 0])
-        assert f(kc.StateVector.of([[5.0], [6.0]])) == 1.0
-        assert f.eigenvalue == 1.0
+    def test_layer1_extension_equals_base(self, scalar_pair, scalar_pair_pd):
+        # block row 1 of P is the identity: psi_1 o P is psi_1
+        x = np.array([2.5, 7.0], dtype=complex)
+        phi = kc.inherited_eigenfunctions(scalar_pair, scalar_pair_pd, x)
+        assert phi[0] == pytest.approx(scalar_pair.eig_of(1).Vinv[0] @ x[:1])
 
 
 class TestProduct:
-    def test_constant_is_identity_element(self, scalar_pair):
-        a = kc.product_eigenfunction(scalar_pair, [1, 0])
-        one = kc.product_eigenfunction(scalar_pair, [0, 0])
-        prod = a * one
-        assert prod.multi_index == a.multi_index
-        assert prod.eigenvalue == a.eigenvalue
+    def test_multi_indices_add_eigenvalues_multiply(self, diag_pair, diag_pair_pd):
+        # (psi_11 o P)(psi_22 o P) is exact under the coupled step at 0.5 * 0.2
+        a, b = diag_pair.modes.index((1, 1)), diag_pair.modes.index((2, 2))
+        lam = diag_pair.lams[a] * diag_pair.lams[b]
+        assert lam == pytest.approx(0.1)
+        X = _random_states(np.random.default_rng(2), 3, 20)
+        now = kc.inherited_eigenfunctions(diag_pair, diag_pair_pd, X)
+        after = kc.inherited_eigenfunctions(diag_pair, diag_pair_pd, diag_pair.A @ X)
+        np.testing.assert_allclose(
+            after[a] * after[b], lam * now[a] * now[b], rtol=1e-12, atol=1e-14
+        )
 
-    def test_multi_indices_add_eigenvalues_multiply(self, diag_pair):
-        a = kc.product_eigenfunction(diag_pair, [1, 0])
-        b = kc.product_eigenfunction(diag_pair, [0, 2])
-        prod = a * b
-        assert prod.multi_index == (1, 2)
-        assert prod.eigenvalue == a.eigenvalue * b.eigenvalue
-        assert prod.eigenvalue == pytest.approx(0.5 * 0.2)
-
-    def test_pointwise_product(self, diag_pair):
-        a = kc.product_eigenfunction(diag_pair, [1, 0])
-        b = kc.product_eigenfunction(diag_pair, [0, 1])
-        prod = a * b
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            x = kc.StateVector.of(
-                [rng.uniform(-1, 1, 1) + 0j, rng.uniform(-1, 1, 2) + 0j]
-            )
-            assert prod(x) == pytest.approx(a(x) * b(x), rel=1e-12, abs=1e-12)
-
-    def test_same_layer_rejected(self, diag_pair):
-        a = kc.product_eigenfunction(diag_pair, [0, 1])
-        b = kc.product_eigenfunction(diag_pair, [0, 2])
-        with pytest.raises(kc.SameLayerProductError):
-            _ = a * b
+    def test_pointwise_product(self, diag_pair, diag_pair_pd):
+        # along the coupled orbit, a product across layers decays at the
+        # product eigenvalue at every t
+        a, b = diag_pair.modes.index((1, 1)), diag_pair.modes.index((2, 1))
+        lam = diag_pair.lams[a] * diag_pair.lams[b]
+        X = _random_states(np.random.default_rng(3), 3, 20)
+        orbit = stacked_orbit(diag_pair.A, X, 20)
+        phi = kc.inherited_eigenfunctions(diag_pair, diag_pair_pd, orbit)
+        prod = phi[:, a] * phi[:, b]
+        expect = lam ** np.arange(21)[:, None] * prod[0]
+        np.testing.assert_allclose(prod, expect, rtol=1e-10, atol=1e-14)
 
     def test_semigroup_eigenvalue_exact(self, replica):
-        sys_, _, _ = replica
-        a = kc.product_eigenfunction(sys_, [1] + [0] * (sys_.n - 1))
-        b = kc.product_eigenfunction(sys_, [0] * (sys_.n - 1) + [1])
-        assert (a * b).eigenvalue == a.eigenvalue * b.eigenvalue
+        # the product of every layer's leading psi_i o P under the coupled
+        # dynamics: (prod lambda_i)^t times its value at x
+        sys_, pd, _ = replica
+        idx = sys_.offsets[:-1]
+        lam = np.prod(sys_.lams[idx])
+        x = sys_.random_state(np.random.default_rng(3)).stacked()
+        value = np.prod(kc.inherited_eigenfunctions(sys_, pd, x)[idx])
+        orbit = stacked_orbit(sys_.A, x, 7)
+        for t in (1, 3, 7):
+            got = np.prod(kc.inherited_eigenfunctions(sys_, pd, orbit[t])[idx])
+            assert got == pytest.approx(lam**t * value, rel=1e-9, abs=1e-12)
 
 
 class TestKoopmanApply:
-    def test_t0_is_evaluation(self, scalar_pair, scalar_pair_pd):
-        f = kc.product_eigenfunction(scalar_pair, [0, 1])
-        x = kc.StateVector.of([[1.0], [2.0]])
-        assert kc.koopman_apply(lambda st: kc.lin_step(scalar_pair, st), f, 0, x) == f(x)
-
     def test_nominal_eigen_decay(self, replica):
-        # (prod lambda_i)^t f(x) under the decoupled dynamics
+        # (prod lambda_i)^t psi(x) under the decoupled dynamics
         sys_, _, _ = replica
-        multi = [1] * sys_.n
-        f = kc.product_eigenfunction(sys_, multi)
-        x = sys_.random_state(np.random.default_rng(3))
-        step = lambda st: kc.nom_step(sys_, st)  # noqa: E731
+        idx = sys_.offsets[:-1]
+        lam = np.prod(sys_.lams[idx])
+        x = sys_.random_state(np.random.default_rng(3)).stacked()
+        orbit = stacked_orbit(sys_.N, x, 7)
         for t in (1, 3, 7):
-            expect = f.eigenvalue**t * f(x)
-            assert kc.koopman_apply(step, f, t, x) == pytest.approx(
+            expect = lam**t * np.prod((sys_.Vinv @ x)[idx])
+            assert np.prod((sys_.Vinv @ orbit[t])[idx]) == pytest.approx(
                 expect, rel=1e-9, abs=1e-12
             )
 
     def test_lin_with_pert_hand_value(self, scalar_pair, scalar_pair_pd):
         # pert-composed eigenfunction under the coupled step: 0.9 * 3.5 = 3.15
-        f = kc.compose_with_perturbation(
-            kc.product_eigenfunction(scalar_pair, [0, 1]), scalar_pair_pd
-        )
-        x = kc.StateVector.of([[1.0], [1.0]])
-        val = kc.koopman_apply(lambda st: kc.lin_step(scalar_pair, st), f, 1, x)
-        assert val == pytest.approx(3.15, abs=1e-12)
-        assert f(x) == pytest.approx(3.5, abs=1e-12)
+        x = np.array([1.0, 1.0], dtype=complex)
+        now = kc.inherited_eigenfunctions(scalar_pair, scalar_pair_pd, x)
+        after = kc.inherited_eigenfunctions(scalar_pair, scalar_pair_pd, scalar_pair.A @ x)
+        assert after[1] == pytest.approx(3.15, abs=1e-12)
+        assert now[1] == pytest.approx(3.5, abs=1e-12)
 
 
 class TestEigenfunctionResidual:
@@ -244,10 +227,10 @@ class TestLaplaceAverage:
         )
         pd = kc.compute_perturbation(sys_)
         x = sys_.random_state(np.random.default_rng(8))
-        f = kc.product_eigenfunction(sys_, [0, 1])
+        target = kc.inherited_eigenfunctions(sys_, pd, x.stacked())[1]
         for N in (1, 5, 50):
             avg = kc.laplace_average(sys_, pd, 2, 1, x, N)
-            assert avg == pytest.approx(f(x), rel=1e-10, abs=1e-12)
+            assert avg == pytest.approx(target, rel=1e-10, abs=1e-12)
 
     def test_scalar_pair_converges_with_rate(self, scalar_pair, scalar_pair_pd):
         # partial-sum oracle: error at N vs 2N approximately halves
@@ -264,10 +247,10 @@ class TestLaplaceAverage:
 
     def test_layer1_exact_every_n(self, scalar_pair, scalar_pair_pd):
         x = kc.StateVector.of([[0.7], [0.3]])
-        psi = kc.principal_eigenfunction(scalar_pair, 1, 1)
+        target = scalar_pair.eig_of(1).Vinv[0] @ x.layer(1)
         for N in (1, 10, 100):
             avg = kc.laplace_average(scalar_pair, scalar_pair_pd, 1, 1, x, N)
-            assert avg == pytest.approx(psi(x.layer(1)), rel=1e-12, abs=1e-14)
+            assert avg == pytest.approx(target, rel=1e-12, abs=1e-14)
 
     def test_not_peripheral_raises(self, diag_pair, diag_pair_pd):
         x = diag_pair.random_state(np.random.default_rng(9))
@@ -304,17 +287,14 @@ class TestDeflatedLaplaceAverage:
         # interior eigenvalue 0.2 sits below the upstream modes (0.5, 0.9):
         # the raw average blows up, the deflated one nails psi o pert
         x = kc.StateVector.of([[1.0], [1.0, 1.0]])
-        f = kc.compose_with_perturbation(
-            kc.product_eigenfunction(diag_pair, [0, 2]), diag_pair_pd
-        )
-        target = f(x)
-        lam = complex(diag_pair.eig_of(2).eigenvalues[1])
+        m = diag_pair.modes.index((2, 2))
+        target = kc.inherited_eigenfunctions(diag_pair, diag_pair_pd, x.stacked())[m]
+        lam = diag_pair.lams[m]
         assert abs(lam) == pytest.approx(0.2, abs=1e-12)
 
-        # raw-average oracle, computed from the public orbit primitives
-        raw = kc.product_eigenfunction(diag_pair, [0, 2])
-        trace = kc.iterate_lin(diag_pair, x, 20)
-        raw_terms = [raw(trace[t]) / lam**t for t in range(21)]
+        # raw-average oracle: the plain psi along the coupled orbit
+        orbit = stacked_orbit(diag_pair.A, x.stacked(), 20)
+        raw_terms = (orbit @ diag_pair.Vinv[m]) / lam ** np.arange(21)
         raw_errs = [
             abs(np.mean(raw_terms[:N]) - target) for N in (5, 10, 15, 20)
         ]
@@ -329,10 +309,10 @@ class TestDeflatedLaplaceAverage:
         sys_ = kc.CascadeSystem.build([np.array([[0.5]]), np.diag([0.9, 0.2])])
         pd = kc.compute_perturbation(sys_)
         x = sys_.random_state(np.random.default_rng(10))
-        f = kc.product_eigenfunction(sys_, [0, 2])
+        target = kc.inherited_eigenfunctions(sys_, pd, x.stacked())[sys_.modes.index((2, 2))]
         for N in (1, 7, 40):
             avg = kc.laplace_average(sys_, pd, 2, 2, x, N, deflate=True)
-            assert avg == pytest.approx(f(x), rel=1e-10, abs=1e-12)
+            assert avg == pytest.approx(target, rel=1e-10, abs=1e-12)
 
     def test_noise_takeover_raises(self, diag_pair, diag_pair_pd):
         # rounding noise grows like (0.9 / 0.2)^t; deep averages must refuse

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import koopcascade as kc
-from tests.conftest import cli_cascade
+from tests.conftest import cli_cascade, state_gap
 
 
 def geometric_sum_direct(B, lam_i, lam_j, t):
@@ -68,9 +68,9 @@ class TestComputePerturbation:
     def test_single_layer(self):
         sys_ = kc.CascadeSystem.build([np.array([[0.9]])])
         pd = kc.compute_perturbation(sys_)
-        np.testing.assert_array_equal(pd.d[(1, 1)], np.eye(1))
-        np.testing.assert_array_equal(pd.pert_row_matrix(1), np.eye(1))
-        assert pd.ctilde == {}
+        np.testing.assert_array_equal(pd.D(1, 1), np.eye(1))
+        np.testing.assert_array_equal(pd.P, np.eye(1))
+        assert kc.perturbation_to_json(sys_, pd)["Ctilde"] == {}
 
     def test_decoupled_gives_identity(self):
         sys_ = kc.CascadeSystem.build(
@@ -78,23 +78,26 @@ class TestComputePerturbation:
             {(2, 1): np.zeros((2, 2))},
         )
         pd = kc.compute_perturbation(sys_)
-        np.testing.assert_array_equal(pd.ctilde[(2, 1)], np.zeros((2, 2)))
-        np.testing.assert_array_equal(pd.d[(2, 1)], np.zeros((2, 2)))
-        np.testing.assert_array_equal(pd.pert_blocks[1][1], np.eye(2))
+        ctilde = kc.matrix_from_json(kc.perturbation_to_json(sys_, pd)["Ctilde"]["2,1"])
+        np.testing.assert_array_equal(ctilde, np.zeros((2, 2)))
+        np.testing.assert_array_equal(pd.D(2, 1), np.zeros((2, 2)))
+        np.testing.assert_array_equal(pd.P, np.eye(4))
 
     def test_scalar_pair_values(self, scalar_pair, scalar_pair_pd):
         pd = scalar_pair_pd
-        assert pd.ctilde[(2, 1)][0, 0] == pytest.approx(2.25, abs=1e-12)
-        assert pd.d[(2, 1)][0, 0] == pytest.approx(2.5, abs=1e-12)
-        np.testing.assert_allclose(pd.pert_blocks[1][0], [[2.5]], atol=1e-12)
-        np.testing.assert_array_equal(pd.pert_blocks[1][1], np.eye(1))
+        ctilde = kc.perturbation_to_json(scalar_pair, pd)["Ctilde"]["2,1"]
+        assert kc.matrix_from_json(ctilde)[0, 0] == pytest.approx(2.25, abs=1e-12)
+        assert pd.D(2, 1)[0, 0] == pytest.approx(2.5, abs=1e-12)
+        assert pd.P[1, 0] == pytest.approx(2.5, abs=1e-12)
+        assert pd.P[1, 1] == 1.0
 
     def test_diagonal_blocks_exact_identity(self, replica):
         sys_, pd, _ = replica
+        off = sys_.offsets
         for i in range(1, sys_.n + 1):
-            np.testing.assert_array_equal(pd.d[(i, i)], np.eye(sys_.dims[i - 1]))
+            np.testing.assert_array_equal(pd.D(i, i), np.eye(sys_.dims[i - 1]))
             np.testing.assert_array_equal(
-                pd.pert_blocks[i - 1][i - 1], np.eye(sys_.dims[i - 1])
+                pd.P[off[i - 1] : off[i], off[i - 1] : off[i]], np.eye(sys_.dims[i - 1])
             )
 
     def test_general_coupling_hand_values(self, general_triple):
@@ -127,7 +130,7 @@ class TestComputePerturbation:
         closed = kc.ClosedFormSolution(full, pd).trace(x0, 100)
         coupled = kc.iterate_lin(full, x0, 100)
         for t in range(0, 101, 10):
-            diff = kc.composite_norm(closed[t] - coupled[t])
+            diff = state_gap(closed[t], coupled[t])
             assert diff <= 1e-8 * kc.composite_norm(coupled[t])
         es = kc.compute_error_series(full, pd, x0, 150)
         assert np.max(es.abs_err - es.bound_decaying) <= 1e-9
@@ -179,7 +182,7 @@ class TestClosedFormSolution:
         sys_, pd, x0 = replica
         cf = kc.ClosedFormSolution(sys_, pd)
         out = cf.at(x0, 0)
-        scale = max(np.abs(pd.pert_row_matrix(i)).max() for i in range(1, sys_.n + 1))
+        scale = np.abs(pd.P).max()
         for i in range(1, sys_.n + 1):
             np.testing.assert_allclose(
                 out.layer(i), x0.layer(i), atol=1e-12 * max(scale, 1.0)
@@ -209,7 +212,7 @@ class TestClosedFormSolution:
             trace = kc.iterate_lin(sys_, x0, 200)
             states = cf.trace(x0, 200)
             for t in range(0, 201, 7):
-                diff = kc.composite_norm(states[t] - trace[t])
+                diff = state_gap(states[t], trace[t])
                 assert diff <= 1e-8 * max(kc.composite_norm(trace[t]), 1e-300)
 
     def test_negative_t_rejected(self, scalar_pair, scalar_pair_pd):
@@ -236,8 +239,8 @@ class TestErrorBoundChain:
 
 
 class TestPerturbationJson:
-    def test_export_structure(self, scalar_pair_pd):
-        obj = kc.perturbation_to_json(scalar_pair_pd)
+    def test_export_structure(self, scalar_pair, scalar_pair_pd):
+        obj = kc.perturbation_to_json(scalar_pair, scalar_pair_pd)
         assert set(obj) == {"D", "Ctilde", "pert"}
         assert "2,1" in obj["D"] and "1,1" in obj["D"]
         assert "2,1" in obj["Ctilde"]
