@@ -72,7 +72,8 @@ class CascadeSystem:
     the coupled operator ``A`` (block lower triangular), the decoupled
     ``N = blockdiag(L_i)``, and the eigenbasis ``V = blockdiag(V_i)``,
     ``Vinv = blockdiag(V_i^-1)`` with the eigenvalues ``lams`` in the same
-    order, so that ``N = V diag(lams) Vinv``. Layer k occupies
+    order, so that ``N = V diag(lams) Vinv``. ``lam_powers(T)`` is the
+    table of ``lams ** t`` for t = 0..T, also built once. Layer k occupies
     ``offsets[k-1]:offsets[k]`` and stacked coordinate m is eigenfunction
     ``modes[m] = (layer, index)``.
     """
@@ -127,6 +128,22 @@ class CascadeSystem:
     @cached_property
     def lams(self) -> np.ndarray:
         return np.concatenate([self.eig_of(i).eigenvalues for i in range(1, self.n + 1)])
+
+    def lam_powers(self, T: int) -> np.ndarray:
+        """Read-only (T+1, dim) table of lams ** t for t = 0..T.
+
+        The longest table built so far is kept on the instance and shorter
+        horizons get a prefix view of it; numpy computes each element from
+        its own (lam, t) alone, so every horizon sees the same bits.
+        """
+        if T < 0:
+            raise ValueError(f"T must be >= 0, got {T}")
+        table = self.__dict__.get("_lam_powers")
+        if table is None or len(table) <= T:
+            table = self.lams ** np.arange(T + 1)[:, None]
+            table.flags.writeable = False
+            self.__dict__["_lam_powers"] = table
+        return table[: T + 1]
 
     @cached_property
     def modes(self) -> tuple[tuple[int, int], ...]:

@@ -294,9 +294,8 @@ def check_nonlinear_eigenfunction_decay(
     """
     sys = nl.base
     T = len(X) - 1
-    t = np.arange(T + 1)[:, None]
-    predicted = sys.lams**t * inherited_eigenfunctions(sys, pd, X[0])
-    norm_pow = np.repeat(sys.norms, sys.dims) ** t
+    predicted = sys.lam_powers(T) * inherited_eigenfunctions(sys, pd, X[0])
+    norm_pow = np.repeat(sys.norms, sys.dims) ** np.arange(T + 1)[:, None]
     linear = checked_orbit(sys, sys.A, X[0], T, "Lin")
     ratios, ratios_lin = (
         np.abs(linalg.apply_by_block_rows(Z, sys.Vinv, sys.offsets) - predicted) / norm_pow

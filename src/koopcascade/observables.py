@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .cascade import CascadeSystem, StateVector
 from .errors import DeflationIncompleteError, DimensionMismatchError, NotPeripheralError
-from .orbits import check_state, checked_orbit, compute_error_series
+from .orbits import _error_series, _orbit_pair, check_state, checked_orbit
 from .perturbation import PerturbationData
 
 PERIPHERAL_TOL = 1e-9
@@ -61,7 +61,7 @@ def eigenfunction_residuals(
         # each temporary of its size would raise the CLI's peak memory.
         f = np.matmul(pd.P, checked_orbit(sys, sys.A, x0, horizon, "Lin"))
         np.matmul(sys.Vinv, f, out=f)
-        f[1:] -= sys.lams[:, None] ** np.arange(1, horizon + 1)[:, None, None] * f[0]
+        f[1:] -= sys.lam_powers(horizon)[1:, :, None] * f[0]
         resid = np.abs(f[1:]) / np.maximum(1.0, np.abs(f[0]))
         worst = resid.max(axis=(0, 2), initial=0.0)
     return dict(zip(sys.modes, worst.tolist()))
@@ -308,19 +308,18 @@ def check_eigenfunction_bounds(
     leg trivially (the decoupled / layer-1 situation), as does a terminal
     ratio at or below rel_floor (series converged to the rounding floor).
     """
-    es = compute_error_series(sys, pd, x0, T)
-    orbit = checked_orbit(sys, sys.A, x0.stacked(), T, "Lin")
-    t_grid = np.arange(T + 1)
+    orbit, nom, px = _orbit_pair(sys, pd, x0, T)
+    es = _error_series(sys, pd, orbit, nom, px)
     layer_of = np.repeat(np.arange(sys.n), sys.dims)
     # f(orbit_t) against lambda^t f(pert x), every (i, s) at once.
     base_vals = inherited_eigenfunctions(sys, pd, x0.stacked())
     values = linalg.apply_by_block_rows(orbit, sys.Vinv, sys.offsets)
-    diffs = np.abs(values - sys.lams ** t_grid[:, None] * base_vals)
+    diffs = np.abs(values - sys.lam_powers(T) * base_vals)
     row_norms = np.linalg.norm(sys.Vinv, axis=1)
     bound = row_norms * es.bound_decaying.T[:, layer_of] + slack
     max_viol = float(np.max(diffs - bound))
 
-    ratios = diffs / np.asarray(sys.norms)[layer_of] ** t_grid[:, None]
+    ratios = diffs / np.asarray(sys.norms)[layer_of] ** np.arange(T + 1)[:, None]
     peak = ratios.max(axis=0)
     term = ratios[T]
     r = np.divide(term, peak, out=np.zeros_like(term), where=peak > 0)

@@ -152,26 +152,32 @@ def compute_error_series(
     The decaying bound is sum_{j<i} ||Q_ij|| ||L_j^t (P x)_j||, with the
     propagated perturbed layers V (lam^t * Vinv P x) and exactly P x at t = 0.
     """
-    lin, nom, px = _orbit_pair(sys, pd, x0, T)
+    return _error_series(sys, pd, *_orbit_pair(sys, pd, x0, T))
+
+
+def _error_series(
+    sys: CascadeSystem,
+    pd: PerturbationData,
+    lin: np.ndarray,
+    nom: np.ndarray,
+    px: np.ndarray,
+) -> ErrorSeries:
+    """compute_error_series from the orbits _orbit_pair returns."""
+    T = len(lin) - 1
     abs_err = linalg.layer_norms(lin - nom, sys.offsets).T
 
-    t_grid = np.arange(T + 1)
     propagated = linalg.apply_by_block_rows(
-        sys.lams ** t_grid[:, None] * (sys.Vinv @ px), sys.V, sys.offsets
+        sys.lam_powers(T) * (sys.Vinv @ px), sys.V, sys.offsets
     )
     propagated[0] = px
-    d_norms = np.zeros((sys.n, sys.n))
-    for i in range(2, sys.n + 1):
-        for j in range(1, i):
-            d_norms[i - 1, j - 1] = linalg.operator_norm(pd.D(i, j))
-    bound_a = d_norms @ linalg.layer_norms(propagated, sys.offsets).T
+    bound_a = pd.d_norms @ linalg.layer_norms(propagated, sys.offsets).T
 
     norms = np.asarray(sys.norms)
     return ErrorSeries(
         horizon=T,
         layer_norms=sys.norms,
         abs_err=abs_err,
-        rel_err=abs_err / norms[:, None] ** t_grid,
+        rel_err=abs_err / norms[:, None] ** np.arange(T + 1),
         bound_decaying=bound_a,
         bound_constant=bound_a[:, 0].copy(),
     )

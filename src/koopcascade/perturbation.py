@@ -26,6 +26,7 @@ x_t = Q N^t P x exactly; with D[(i, j)] = (-1)^(i-j) Q_ij it reads
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,7 +67,8 @@ def geometric_sum_solve(B, lam_rows, lam_cols) -> np.ndarray:
 class PerturbationData:
     """Perturbation map P and its exact inverse Q on the stacked state of a
     cascade with these layer dims; both are block lower triangular with
-    exact identity diagonal blocks."""
+    exact identity diagonal blocks. ``d_norms`` holds the operator norms
+    of the closed-form blocks, computed on first use."""
 
     dims: tuple[int, ...]
     P: np.ndarray
@@ -76,6 +78,18 @@ class PerturbationData:
         """Block D[(i, j)] = (-1)^(i-j) Q_ij of the closed form (1 <= j <= i)."""
         off = np.cumsum((0,) + self.dims)
         return (-1.0) ** (i - j) * self.Q[off[i - 1] : off[i], off[j - 1] : off[j]]
+
+    @cached_property
+    def d_norms(self) -> np.ndarray:
+        """Read-only (n, n) matrix with entry [i-1, j-1] = ||D[(i, j)]|| for
+        j < i and zero on and above the diagonal."""
+        n = len(self.dims)
+        norms = np.zeros((n, n))
+        for i in range(2, n + 1):
+            for j in range(1, i):
+                norms[i - 1, j - 1] = linalg.operator_norm(self.D(i, j))
+        norms.flags.writeable = False
+        return norms
 
     def as_matrix(self) -> np.ndarray:
         """A copy of P."""
@@ -139,30 +153,31 @@ class ClosedFormSolution:
         self.pd = pd
         self._QV = pd.Q @ sys.V
 
-    def _states(self, x: StateVector, ts: np.ndarray) -> np.ndarray:
-        """Stacked states at the times ts, one row per time."""
+    def _states(self, x: StateVector, powers: np.ndarray) -> np.ndarray:
+        """Stacked states, one row per row of eigenvalue powers lam^t."""
         if x.dims != self.sys.dims:
             raise DimensionMismatchError(
                 f"state dims {x.dims} != system dims {self.sys.dims}"
             )
         coeffs = self.sys.Vinv @ (self.pd.P @ x.stacked())
         return linalg.apply_by_block_rows(
-            self.sys.lams ** ts[:, None] * coeffs, self._QV, self.sys.offsets, lower=True
+            powers * coeffs, self._QV, self.sys.offsets, lower=True
         )
 
     def at(self, x: StateVector, t: int) -> StateVector:
         """State of the coupled orbit at step t >= 0 from initial condition x."""
         if t < 0:
             raise ValueError(f"t must be >= 0, got {t}")
-        return StateVector.unstack(self._states(x, np.array([t]))[0], self.sys.dims)
+        powers = self.sys.lams ** np.array([[t]])
+        return StateVector.unstack(self._states(x, powers)[0], self.sys.dims)
 
     def trace(self, x: StateVector, T: int) -> list[StateVector]:
-        """[at(x, 0), ..., at(x, T)] from one batch of powers."""
+        """[at(x, 0), ..., at(x, T)] from the system's table of powers."""
         if T < 0:
             raise ValueError(f"T must be >= 0, got {T}")
         return [
             StateVector.unstack(row, self.sys.dims)
-            for row in self._states(x, np.arange(T + 1))
+            for row in self._states(x, self.sys.lam_powers(T))
         ]
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import koopcascade as kc
+from tests.conftest import make_replica
 
 
 class TestStateVector:
@@ -128,6 +129,58 @@ class TestBuild:
         rep = kc.validate_conditions(sys_)
         assert not rep.layer_diagonalizable[0]
         assert not rep.overall
+
+
+def _fresh_systems(request):
+    """New instances of the scalar pair, the general triple and the seed-45
+    replica, so no table cached by another test is seen."""
+    fresh = [
+        kc.CascadeSystem.build(list(s.L), s.couplings)
+        for s in (
+            request.getfixturevalue("scalar_pair"),
+            request.getfixturevalue("general_triple"),
+        )
+    ]
+    return fresh + [make_replica(45)[0]]
+
+
+class TestLamPowers:
+    HORIZONS = (0, 50, 99, 100, 200)
+
+    @pytest.mark.parametrize(
+        "order", [HORIZONS, HORIZONS[::-1]], ids=["short-first", "long-first"]
+    )
+    def test_bitwise_equal_to_direct_powers(self, request, order):
+        for sys_ in _fresh_systems(request):
+            for T in order:
+                got = sys_.lam_powers(T)
+                want = sys_.lams ** np.arange(T + 1)[:, None]
+                assert got.shape == (T + 1, sum(sys_.dims))
+                assert got.tobytes() == want.tobytes()
+
+    def test_read_only(self, request):
+        for sys_ in _fresh_systems(request):
+            table = sys_.lam_powers(20)
+            with pytest.raises(ValueError):
+                table[0, 0] = 2.0
+            with pytest.raises(ValueError):
+                sys_.lam_powers(5)[1] *= 2.0
+            assert table.tobytes() == (sys_.lams ** np.arange(21)[:, None]).tobytes()
+
+    def test_not_shared_between_systems(self):
+        first = kc.CascadeSystem.build([[[0.5]], [[0.9]]], {(2, 1): [[1.0]]})
+        second = kc.CascadeSystem.build([[[0.4]], [[0.8]]], {(2, 1): [[1.0]]})
+        a = first.lam_powers(200)
+        b = second.lam_powers(100)
+        assert not np.shares_memory(a, b)
+        assert b.tobytes() == (second.lams ** np.arange(101)[:, None]).tobytes()
+        longer = second.lam_powers(200)
+        assert longer.tobytes() == (second.lams ** np.arange(201)[:, None]).tobytes()
+        assert first.lam_powers(200).tobytes() == a.tobytes()
+
+    def test_negative_horizon_rejected(self, scalar_pair):
+        with pytest.raises(ValueError):
+            scalar_pair.lam_powers(-1)
 
 
 class TestJson:

@@ -193,6 +193,50 @@ class TestNoSecondBlasThread:
         assert excess < 0.05, f"{excess * 1e3:.1f} ms of CPU beyond wall"
 
 
+class _PowerCounter(np.ndarray):
+    """ndarray that counts the np.power calls it takes part in and hands
+    plain arrays on."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.power:
+            _PowerCounter.calls += 1
+        plain = tuple(np.asarray(a) if isinstance(a, _PowerCounter) else a for a in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestPerSystemTablesBuiltOnce:
+    def test_one_power_table_and_one_norm_per_block(self, monkeypatch):
+        # lam^t and ||D_ij|| depend only on the system: every orbit check on
+        # one (system, pd) reads them from one table, built on first use.
+        system = cli_cascade(45)
+        pd = kc.compute_perturbation(system)
+        x0 = system.random_state(np.random.default_rng(12))
+        T = 200
+        nl = conjugacy.NonlinearCascade(system, kc.identity_conjugacy())
+        _, X = conjugacy.conjugated_orbit(nl, system.A, x0.stacked(), T)
+        system.__dict__["lams"] = system.lams.view(_PowerCounter)
+        monkeypatch.setattr(_PowerCounter, "calls", 0)
+        svds = []
+
+        def counting_norm(M, norm=linalg.operator_norm):
+            svds.append(M.shape)
+            return norm(M)
+
+        monkeypatch.setattr(linalg, "operator_norm", counting_norm)
+
+        kc.compute_error_series(system, pd, x0, T)
+        kc.compute_error_series(system, pd, x0, T)
+        kc.check_eigenfunction_bounds(system, pd, x0, T)
+        kc.ClosedFormSolution(system, pd).trace(x0, T)
+        kc.eigenfunction_residuals(system, pd, [x0], horizon=50)
+        conjugacy.check_nonlinear_eigenfunction_decay(nl, pd, X)
+
+        assert _PowerCounter.calls == 1
+        assert len(svds) == system.n * (system.n - 1) // 2 == 21
+
+
 class TestRandomMatrixWithNorm:
     def test_hits_target_norm(self):
         rng = np.random.default_rng(5)

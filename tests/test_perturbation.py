@@ -91,6 +91,17 @@ class TestComputePerturbation:
         assert pd.P[1, 0] == pytest.approx(2.5, abs=1e-12)
         assert pd.P[1, 1] == 1.0
 
+    def test_d_norms(self, scalar_pair, general_triple, replica):
+        for sys_ in (scalar_pair, general_triple, replica[0]):
+            pd = kc.compute_perturbation(sys_)
+            n = sys_.n
+            assert pd.d_norms.shape == (n, n)
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    want = kc.operator_norm(pd.D(i, j)) if j < i else 0.0
+                    assert pd.d_norms[i - 1, j - 1] == want
+            assert not pd.d_norms.flags.writeable
+
     def test_diagonal_blocks_exact_identity(self, replica):
         sys_, pd, _ = replica
         off = sys_.offsets
