@@ -43,7 +43,6 @@ from .errors import (
     DegenerateDrawError,
     DimensionMismatchError,
     GenerationFailedError,
-    NewtonDivergenceError,
     NotDiagonalizableError,
     NotPeripheralError,
     OrbitOverflowError,
@@ -116,7 +115,6 @@ __all__ = [
     "DegenerateDrawError",
     "DimensionMismatchError",
     "GenerationFailedError",
-    "NewtonDivergenceError",
     "NotDiagonalizableError",
     "NotPeripheralError",
     "OrbitOverflowError",

@@ -6,7 +6,8 @@ proved for the linear system transports: the nominal nonlinear system is
 tau o Nom o tau^-1, its perturbation map is tau o pert o tau^-1, and
 eigenfunctions transfer as psi o tau^-1. The stock conjugacy is a
 per-coordinate monotone cubic u -> u + a*u^3 applied to real and
-imaginary parts, inverted by safeguarded Newton.
+imaginary parts, inverted in closed form (hyperbolic Cardano) plus one
+Newton step.
 
 Every nonlinear orbit comes from one loop on stacked arrays,
 conjugated_orbit, which keeps the tau^-1 of each state it solved; both
@@ -23,58 +24,43 @@ import numpy as np
 
 from . import linalg
 from .cascade import CascadeSystem, StateVector
-from .errors import DimensionMismatchError, NewtonDivergenceError
+from .errors import DimensionMismatchError, OrbitOverflowError
 from .observables import inherited_eigenfunctions
 from .orbits import checked_orbit
 from .perturbation import PerturbationData
 
 CONJ_TOL = 1e-10
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 100
 WORKING_BALL_RADIUS = 2.0
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _invert_monotone_cubic(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Solve u + a*u**3 = w coordinatewise (a >= 0 per coordinate, strictly
     increasing).
 
-    Newton with a bisection safeguard on the bracket [0, w] (signs included);
-    residual tolerance NEWTON_TOL * (1 + |w|). The start is w / (1 + a*w**2),
-    or cbrt(w / a) where a*w**2 > 1, where the cubic term dominates; both lie
-    in the bracket. Coordinates with a = 0 are exact from the first iterate,
-    u = w.
+    Closed form (hyperbolic Cardano): u = (2/r) sinh(asinh(1.5 r w) / 3) with
+    r = sqrt(3a), polished by one Newton step. Where 1.5 r w is not finite the
+    cubic term dominates and the start is cbrt(w / a) instead. Coordinates with
+    a = 0 give u = w exactly. Non-finite w gives a non-finite u, silently.
     """
-    lo = np.minimum(w, 0.0)
-    hi = np.maximum(w, 0.0)
-    cubic = a * w * w > 1.0
-    u = np.where(cubic, np.cbrt(w / np.where(cubic, a, 1.0)), w / (1.0 + a * w * w))
-    tol = NEWTON_TOL * (1.0 + np.abs(w))
-    for _ in range(NEWTON_MAX_ITER):
-        f = u + a * u**3 - w
-        if np.all(np.abs(f) <= tol):
-            return u
-        hi = np.where(f > 0, np.minimum(hi, u), hi)
-        lo = np.where(f < 0, np.maximum(lo, u), lo)
-        step = f / (1.0 + 3.0 * a * u * u)
-        u_new = u - step
-        outside = (u_new < lo) | (u_new > hi)
-        u = np.where(outside, 0.5 * (lo + hi), u_new)
-    raise NewtonDivergenceError(
-        f"cubic inversion did not converge in {NEWTON_MAX_ITER} iterations "
-        f"(max a={float(np.max(a))})"
-    )
+    r = np.sqrt(3.0 * a)
+    z = 1.5 * r * w
+    u = np.where(np.isfinite(z), 2.0 / r * np.sinh(np.arcsinh(z) / 3.0), np.cbrt(w / a))
+    u = np.where(a == 0.0, w, u)
+    return u - (u + a * u**3 - w) / (1.0 + 3.0 * a * u * u)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cubic(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     """u -> u + c*u**3 on the real and imaginary parts of stacked states
-    (coordinates along the last axis)."""
+    (coordinates along the last axis); overflow gives inf, silently."""
     re, im = v.real, v.imag
     return (re + c * re**3) + 1j * (im + c * im**3)
 
 
 def _cubic_inverse(v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Inverse of _cubic: one safeguarded Newton solve over all real and
-    imaginary parts."""
+    """Inverse of _cubic: one closed-form solve over all real and imaginary
+    parts."""
     u = _invert_monotone_cubic(np.stack([v.real, v.imag]), c)
     return u[0] + 1j * u[1]
 
@@ -172,6 +158,7 @@ def conjugated_orbit(
     M = base.A (coupled) or base.N (nominal).
 
     Returns Y, the (T+1, dim) orbit, and X with X[t] = tau^-1(Y[t]).
+    Raises OrbitOverflowError if any state of either is not finite.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
@@ -183,6 +170,8 @@ def conjugated_orbit(
         X[t] = inverse(Y[t])
         Y[t + 1] = forward(M @ X[t])
     X[T] = inverse(Y[T])
+    if not (np.isfinite(Y).all() and np.isfinite(X).all()):
+        raise OrbitOverflowError("non-finite state while iterating the conjugated orbit")
     return Y, X
 
 

@@ -41,12 +41,8 @@ class DimensionMismatchError(CascadeError, ValueError):
 
 
 class OrbitOverflowError(CascadeError):
-    """Orbit norm exceeded the overflow budget (layer norms > 1 misuse)."""
-
-
-class NewtonDivergenceError(CascadeError):
-    """Scalar Newton inversion failed to converge (coefficients outside the
-    bijection regime)."""
+    """Orbit norm exceeded the overflow budget (layer norms > 1 misuse), or
+    a conjugated orbit reached a non-finite state."""
 
 
 class NotPeripheralError(CascadeError):

@@ -46,6 +46,11 @@ def cli_cascade(seed: int, layers: int = 7):
     return kc.random_chained_cascade(dims, norms, rng)
 
 
+def cli_state(system, seed: int):
+    """The initial state ``koopcascade repro-paper --seed <seed>`` draws."""
+    return system.random_state(np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1]))
+
+
 @pytest.fixture(scope="session")
 def general_triple():
     """Scalar layers 0.3 / 0.6 / 0.9 coupled by C21 = C32 = C31 = 1, not a

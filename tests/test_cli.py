@@ -15,10 +15,17 @@ import pytest
 import koopcascade as kc
 from koopcascade.cli import main
 from koopcascade.orbits import CSV_COLUMNS
+from tests.conftest import cli_cascade, cli_state
 
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def assert_one_line_overflow(capsys):
+    err = capsys.readouterr().err
+    assert "orbit overflow" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.fixture()
@@ -207,6 +214,20 @@ class TestVerify:
                    "--conjugacy", conj_path, "--out-dir", out) == 0
 
 
+    def test_non_finite_nonlinear_orbit_exit_4(self, tmp_path, capsys):
+        # the seed-45 state scaled by 1e110: its cubic image overflows to inf
+        system = cli_cascade(45)
+        spec, x0_path, conj_path = (tmp_path / f for f in ("c.json", "x0.json", "conj.json"))
+        kc.save_cascade(system, spec)
+        x0 = cli_state(system, 45)
+        x0_path.write_text(json.dumps(kc.state_to_json(
+            kc.StateVector.unstack(1e110 * x0.stacked(), system.dims)
+        )))
+        conj_path.write_text(json.dumps({"kind": "polynomialDiagonal", "a": [0.1] * system.n}))
+        assert run("verify", "--spec", spec, "--x0", x0_path, "--conjugacy", conj_path,
+                   "--checks", "nonlinear-equivalence", "--out-dir", tmp_path / "v") == 4
+        assert_one_line_overflow(capsys)
+
     def test_general_coupling_passes(self, tmp_path, general_spec):
         out = tmp_path / "vg"
         assert run("verify", "--spec", general_spec, "--horizon", 200,
@@ -307,6 +328,12 @@ class TestReproPaper:
         assert run("repro-paper", "--layers", 20, "--horizon", 5,
                    "--out-dir", tmp_path / "deep") == 4
         assert "orbit overflow" in capsys.readouterr().err
+
+    def test_non_finite_nonlinear_orbit_exit_4(self, tmp_path, capsys):
+        # a = 1e300 sends the first cubic image of the unit state to inf
+        assert run("repro-paper", "--seed", 45, "--cubic", 1e300,
+                   "--out-dir", tmp_path / "huge") == 4
+        assert_one_line_overflow(capsys)
 
     def test_log_rel_err_decreases_linearly(self, tmp_path):
         out = tmp_path / "r3"

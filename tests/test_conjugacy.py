@@ -9,7 +9,7 @@ import koopcascade as kc
 from koopcascade import conjugacy, linalg
 from koopcascade.cli import NONLINEAR_CHECKS, TolProfile, run_checks
 from koopcascade.orbits import stacked_orbit
-from tests.conftest import cli_cascade, state_gap
+from tests.conftest import cli_cascade, cli_state, state_gap
 
 
 def bisect_cubic_root(w: float, a: float, lo: float, hi: float, iters: int = 200) -> float:
@@ -48,13 +48,20 @@ class TestPolynomialConjugacy:
         assert x.layer(1)[0] == pytest.approx(oracle, abs=1e-10)
         assert x.layer(1)[0] == pytest.approx(2.0, abs=1e-10)
 
-    def test_inverse_converges_far_from_origin(self):
+    @pytest.mark.parametrize("a", [0.0, 1e-8, 0.1, 1e250])
+    def test_inverse_converges_far_from_origin(self, a):
         # |w| = 4.1e30 is what a 12-layer repro-paper run feeds the inverse;
-        # from w / (1 + a w^2) Newton would need about 115 steps
-        w = np.array([4.1e30, -4.1e30, 1e6, -1e6, 0.5, -0.5, 0.0])
-        conj = kc.polynomial_conjugacy([0.1])
+        # at a = 1e-8 the w near 1e4 straddle a w^2 = 1, where the cubic term
+        # takes over; at a = 1e250, 1.5 sqrt(3a) w overflows for w = 1e249
+        w = [4.1e30, 1e6, 0.5, 0.0]
+        if a == 1e-8:
+            w += [3e3, 1e4, 3e4]
+        if a == 1e250:
+            w += [1e249]
+        w = np.array(w + [-v for v in w])
+        conj = kc.polynomial_conjugacy([a])
         u = conj.inverse(kc.StateVector.of([w])).layer(1)
-        residual = np.abs(u.real + 0.1 * u.real**3 - w)
+        residual = np.abs(u.real + a * u.real**3 - w)
         assert np.all(residual <= 1e-15 * (1.0 + np.abs(w)))
         assert np.all(u.imag == 0.0)
 
@@ -108,6 +115,17 @@ class TestIterateNonlinear:
 
         assert np.all(composite(Y - forward(lin)) <= 1e-8 * (1 + composite(Y)))
         assert np.all(composite(X - lin) <= 1e-8 * (1 + composite(lin)))
+
+    @pytest.mark.parametrize("a", [0.1, 1.0])
+    def test_inverse_states_follow_linear_orbit(self, a):
+        # X[t] = tau^-1(Y[t]) is Lin^t X[0] up to the rounding of the inverse
+        system = cli_cascade(45)
+        x0 = cli_state(system, 45)
+        conj = kc.polynomial_conjugacy([a] * system.n)
+        nl = kc.NonlinearCascade(base=system, conj=conj)
+        _, X = kc.conjugated_orbit(nl, system.A, conj.forward(x0).stacked(), 200)
+        lin = stacked_orbit(system.A, X[0], 200)
+        assert np.abs(X - lin).max() <= 1e-14 * np.abs(X).max()
 
     def test_zero_fixed_point(self, scalar_pair):
         nl = kc.NonlinearCascade(base=scalar_pair, conj=kc.polynomial_conjugacy([0.1, 0.1]))
@@ -239,7 +257,7 @@ class TestNewtonSolves:
         # run_checks as repro-paper --seed 45 calls it: one coupled and one
         # nominal orbit at T = 200; the decay check reads the coupled one
         system = cli_cascade(45)
-        x0 = system.random_state(np.random.default_rng(np.random.SeedSequence(45).spawn(3)[1]))
+        x0 = cli_state(system, 45)
         pd = kc.compute_perturbation(system)
         calls = []
         solve = conjugacy._invert_monotone_cubic
