@@ -12,7 +12,8 @@ All data goes to files; stdout carries human-readable summaries only.
 Fixed seeds give byte-identical CSV output across runs on the same build.
 
 Exit codes: 0 ok, 2 generation failed or usage error (including a --spec,
---x0 or --conjugacy file that cannot be read as JSON), 3 validation failed,
+--x0 or --conjugacy file that cannot be read as JSON, and an --x0 or
+--conjugacy file that does not fit the spec's layers), 3 validation failed,
 4 orbit overflow, 5 verification checks failed (for eigs: a residual above
 tolerance).
 """
@@ -23,7 +24,7 @@ import argparse
 import hashlib
 import json
 import sys as _sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,11 +43,13 @@ from .cascade import (
     validate_conditions,
 )
 from .conjugacy import (
+    Conjugacy,
     NonlinearCascade,
     check_nonlinear_eigenfunction_decay,
     check_nonlinear_equivalence,
     conjugacy_from_json,
     conjugated_orbit,
+    polynomial_conjugacy,
 )
 from .errors import GenerationFailedError, OrbitOverflowError
 from .observables import (
@@ -122,7 +125,6 @@ class ExperimentConfig:
     dim_range: tuple[int, int] = DEFAULT_DIM_RANGE
     seed: int = 42
     horizon: int = 100
-    out_dir: Path = field(default_factory=lambda: Path("."))
     tol_profile: str = "default"
 
     def norm_schedule(self) -> list[float]:
@@ -139,25 +141,9 @@ class ExperimentConfig:
             )
         return sched
 
-    def to_json(self) -> dict:
-        return {
-            "layers": self.layers,
-            "norm_base": self.norm_base,
-            "dim_range": list(self.dim_range),
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "tol_profile": self.tol_profile,
-        }
-
 
 def _rng_streams(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
 
 
 def _write_json(path: Path, obj) -> None:
@@ -166,16 +152,15 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def write_manifest(
-    out_dir: Path, config: dict, checks: dict, files: list[Path]
-) -> Path:
+def write_manifest(out_dir: Path, config: dict, checks: dict, files: list[Path]) -> Path:
     manifest = {
         "library_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config": config,
         "checks": checks,
         "files": {
-            f.name: {"sha256": _sha256(f), "bytes": f.stat().st_size}
+            f.name: {"sha256": hashlib.sha256(f.read_bytes()).hexdigest(),
+                     "bytes": f.stat().st_size}
             for f in files
             if f.exists()
         },
@@ -197,12 +182,36 @@ plot for [i=2:{n}] '{csv}' using 1:($2==i ? $7 : 1/0) with lines title sprintf('
 """
 
 
-def _write_plot_script(out_dir: Path, csv_name: str, n_layers: int) -> Path:
-    path = out_dir / (Path(csv_name).stem + ".gp")
-    path.write_text(
-        GNUPLOT_TEMPLATE.format(csv=csv_name, gp=path.name, n=n_layers)
+def _write_error_series(out_dir: Path, es, n_layers: int) -> list[Path]:
+    """errors.csv and its companion plot script errors.gp."""
+    csv_path, gp_path = out_dir / "errors.csv", out_dir / "errors.gp"
+    error_series_to_csv(es, csv_path)
+    gp_path.write_text(
+        GNUPLOT_TEMPLATE.format(csv=csv_path.name, gp=gp_path.name, n=n_layers)
     )
-    return path
+    return [csv_path, gp_path]
+
+
+def _write_verify_report(
+    out_dir: Path, report, results: dict, profile: TolProfile, horizon: int
+) -> bool:
+    """verify_report.json for these check results; returns whether all passed."""
+    overall = all(r["passed"] for r in results.values())
+    _write_json(out_dir / "verify_report.json", {
+        "validation": report.to_json(),
+        "checks": results,
+        "overall": overall,
+        "tol_profile": profile.name,
+        "horizon": horizon,
+    })
+    return overall
+
+
+def _draw_cascade(cfg: ExperimentConfig) -> CascadeSystem:
+    """cfg's random cascade: layer dims, then matrices, from cfg.seed's first stream."""
+    rng = _rng_streams(cfg.seed, 1)[0]
+    dims = [int(d) for d in rng.integers(cfg.dim_range[0], cfg.dim_range[1] + 1, cfg.layers)]
+    return random_chained_cascade(dims, cfg.norm_schedule(), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +229,7 @@ def cmd_generate(args) -> int:
         seed=args.seed,
         tol_profile=args.tol_profile,
     )
-    rng = _rng_streams(cfg.seed, 1)[0]
-    dims = [int(d) for d in rng.integers(cfg.dim_range[0], cfg.dim_range[1] + 1, cfg.layers)]
-    try:
-        system = random_chained_cascade(dims, cfg.norm_schedule(), rng)
-    except GenerationFailedError as exc:
-        print(f"generation failed: {exc}", file=_sys.stderr)
-        return EXIT_GENERATION
+    system = _draw_cascade(cfg)
     report = validate_conditions(system)
 
     spec_path = out_dir / "cascade.json"
@@ -234,7 +237,7 @@ def cmd_generate(args) -> int:
     report_path = out_dir / "conditions.json"
     _write_json(report_path, report.to_json())
     write_manifest(
-        out_dir, cfg.to_json(), {"conditions": report.overall}, [spec_path, report_path]
+        out_dir, asdict(cfg), {"conditions": report.overall}, [spec_path, report_path]
     )
     print(
         f"generated {system.n}-layer cascade, dims {list(system.dims)}, "
@@ -248,6 +251,19 @@ class UsageError(Exception):
     message and exits EXIT_USAGE."""
 
 
+def _exit_code(command, *args) -> int:
+    """command(*args), with a failed generation or an orbit overflow turned
+    into its exit code and a one-line message on stderr."""
+    try:
+        return command(*args)
+    except GenerationFailedError as exc:
+        print(f"generation failed: {exc}", file=_sys.stderr)
+        return EXIT_GENERATION
+    except OrbitOverflowError as exc:
+        print(f"orbit overflow: {exc}", file=_sys.stderr)
+        return EXIT_OVERFLOW
+
+
 def _read_json(path: str, flag: str, parse=lambda obj: obj):
     """parse() of the JSON in the file a command-line flag names; a file
     that cannot be read, or content that is not what the flag takes, is a
@@ -255,7 +271,7 @@ def _read_json(path: str, flag: str, parse=lambda obj: obj):
     try:
         with open(path) as fh:
             return parse(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, LookupError, TypeError) as exc:
         raise UsageError(f"{flag} {path}: {exc}") from None
 
 
@@ -278,6 +294,8 @@ def _check_numbers(args) -> None:
         )
     if not 0.0 <= getattr(args, "cubic", 0.0) < float("inf"):
         raise UsageError(f"--cubic must be finite and >= 0, got {args.cubic}")
+    if getattr(args, "trials", 1) < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
 
 
 def _load_validated(spec_path: str):
@@ -292,11 +310,23 @@ def _load_validated(spec_path: str):
     return system, report
 
 
-def _initial_state(system: CascadeSystem, args) -> StateVector:
-    if getattr(args, "x0", None):
-        return _read_json(args.x0, "--x0", state_from_json)
-    rng = _rng_streams(args.seed, 2)[1]
-    return system.random_state(rng)
+def _initial_state(system: CascadeSystem, path: str | None, seed: int) -> StateVector:
+    """The --x0 file's state, which must fit the spec's layer dims, or the seeded draw."""
+    if not path:
+        return system.random_state(_rng_streams(seed, 2)[1])
+    x0 = _read_json(path, "--x0", state_from_json)
+    if x0.dims != system.dims:
+        raise UsageError(f"--x0 {path}: state dims {x0.dims} != spec dims {system.dims}")
+    return x0
+
+
+def _read_conjugacy(path: str, system: CascadeSystem) -> Conjugacy:
+    """The --conjugacy file's conjugacy, which must fit the spec's layer count."""
+    conj = _read_json(path, "--conjugacy", conjugacy_from_json)
+    if conj.cubic_coeffs is not None and len(conj.cubic_coeffs) != system.n:
+        raise UsageError(f"--conjugacy {path}: {len(conj.cubic_coeffs)} cubic "
+                         f"coefficients, spec has {system.n} layers")
+    return conj
 
 
 def cmd_simulate(args) -> int:
@@ -306,17 +336,9 @@ def cmd_simulate(args) -> int:
     if system is None:
         return EXIT_VALIDATION
     pd = compute_perturbation(system, report)
-    x0 = _initial_state(system, args)
-
-    try:
-        es = compute_error_series(system, pd, x0, args.horizon)
-    except OrbitOverflowError as exc:
-        print(f"orbit overflow: {exc}", file=_sys.stderr)
-        return EXIT_OVERFLOW
-
-    csv_path = out_dir / "errors.csv"
-    error_series_to_csv(es, csv_path)
-    gp_path = _write_plot_script(out_dir, csv_path.name, system.n)
+    x0 = _initial_state(system, args.x0, args.seed)
+    es = compute_error_series(system, pd, x0, args.horizon)
+    csv_path, gp_path = _write_error_series(out_dir, es, system.n)
     x0_path = out_dir / "x0.json"
     _write_json(x0_path, state_to_json(x0))
     profile = TolProfile.named(args.tol_profile)
@@ -346,10 +368,11 @@ def run_checks(
     horizon: int,
     selected: list[str],
     profile: TolProfile,
-    conjugacy_spec: dict | None,
+    conj: Conjugacy | None,
     seed: int = 0,
 ) -> dict:
-    """Run the selected checks and return {name: report-dict with 'passed'}."""
+    """Run the selected checks and return {name: report-dict with 'passed'}.
+    The nonlinear checks run through conj, which they require."""
     results: dict[str, dict] = {}
 
     if "error-bounds" in selected:
@@ -381,9 +404,6 @@ def run_checks(
 
     nonlinear = [c for c in selected if c in NONLINEAR_CHECKS]
     if nonlinear:
-        if conjugacy_spec is None:
-            raise ValueError("nonlinear checks need a conjugacy spec (--conjugacy)")
-        conj = conjugacy_from_json(conjugacy_spec)
         nl = NonlinearCascade(base=system, conj=conj)
         # The top-layer decay sweep reads the first t4 + 1 states, at a
         # horizon where rounding floors stay benign; the orbit is iterated
@@ -425,36 +445,19 @@ def cmd_verify(args) -> int:
         selected = [c.strip() for c in args.checks.split(",") if c.strip()]
         unknown = [c for c in selected if c not in ALL_CHECKS]
         if unknown:
-            print(f"unknown checks: {unknown}; available: {list(ALL_CHECKS)}",
-                  file=_sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"unknown checks: {unknown}; available: {list(ALL_CHECKS)}")
 
-    conj_spec = _read_json(args.conjugacy, "--conjugacy") if args.conjugacy else None
+    conj = _read_conjugacy(args.conjugacy, system) if args.conjugacy else None
+    if conj is None and any(c in NONLINEAR_CHECKS for c in selected):
+        raise UsageError("nonlinear checks need a conjugacy spec (--conjugacy)")
 
     profile = TolProfile.named(args.tol_profile)
-    x0 = _initial_state(system, args)
+    x0 = _initial_state(system, args.x0, args.seed)
     pd = compute_perturbation(system, report)
-    try:
-        results = run_checks(
-            system, pd, x0, args.horizon, selected, profile, conj_spec,
-            seed=args.seed,
-        )
-    except OrbitOverflowError as exc:
-        print(f"orbit overflow: {exc}", file=_sys.stderr)
-        return EXIT_OVERFLOW
-    except ValueError as exc:
-        print(str(exc), file=_sys.stderr)
-        return EXIT_USAGE
-
-    overall = all(r["passed"] for r in results.values())
-    report_path = out_dir / "verify_report.json"
-    _write_json(report_path, {
-        "validation": report.to_json(),
-        "checks": results,
-        "overall": overall,
-        "tol_profile": profile.name,
-        "horizon": args.horizon,
-    })
+    results = run_checks(
+        system, pd, x0, args.horizon, selected, profile, conj, seed=args.seed
+    )
+    overall = _write_verify_report(out_dir, report, results, profile, args.horizon)
     for name in selected:
         status = "pass" if results[name]["passed"] else "FAIL"
         print(f"{name}: {status}")
@@ -462,7 +465,7 @@ def cmd_verify(args) -> int:
         failing = [n for n, r in results.items() if not r["passed"]]
         print(f"failing checks: {', '.join(failing)}", file=_sys.stderr)
         return EXIT_CHECKS
-    print(f"all selected checks passed -> {report_path}")
+    print(f"all selected checks passed -> {out_dir / 'verify_report.json'}")
     return EXIT_OK
 
 
@@ -499,7 +502,10 @@ def write_eigs_tables(
     is_peripheral = dict(zip(system.modes, peripheral_modes(system).tolist()))
     table = laplace_table(system, pd, x_ref, LAPLACE_N_GRID, pairs)
     inventory = []
-    laplace_rows = []
+    csv_lines = [
+        "layer,index,eigenvalue_re,eigenvalue_im,peripheral,deflated,N,"
+        "avg_re,avg_im,ref_re,ref_im,abs_error,status\n"
+    ]
     for i, s in pairs:
         lam = complex(system.eig_of(i).eigenvalues[s - 1])
         peripheral = is_peripheral[(i, s)]
@@ -514,14 +520,19 @@ def write_eigs_tables(
             row = {"N": N, "deflated": not peripheral}
             if isinstance(avg, str):
                 row["status"] = avg
+                avg_re = avg_im = err = ""
             else:
                 row["average"] = linalg.complex_to_json(avg)
                 row["abs_error"] = abs(avg - ref)
                 row["status"] = "ok"
+                avg_re, avg_im, err = (
+                    f"{v:.17g}" for v in (*row["average"], row["abs_error"])
+                )
             entry["laplace"].append(row)
-            laplace_rows.append(
-                (i, s, lam, peripheral, not peripheral, N,
-                 row.get("average"), ref, row.get("abs_error"), row["status"])
+            csv_lines.append(
+                f"{i},{s},{lam.real:.17g},{lam.imag:.17g},{int(peripheral)},"
+                f"{int(not peripheral)},{N},{avg_re},{avg_im},"
+                f"{ref.real:.17g},{ref.imag:.17g},{err},{row['status']}\n"
             )
         inventory.append(entry)
 
@@ -529,19 +540,7 @@ def write_eigs_tables(
     _write_json(eig_path, {"reference_state": state_to_json(x_ref), "entries": inventory})
 
     csv_path = out_dir / "laplace.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(
-            "layer,index,eigenvalue_re,eigenvalue_im,peripheral,deflated,N,"
-            "avg_re,avg_im,ref_re,ref_im,abs_error,status\n"
-        )
-        for (i, s, lam, peri, defl, N, avg, ref, err, status) in laplace_rows:
-            avg_re = f"{avg[0]:.17g}" if avg else ""
-            avg_im = f"{avg[1]:.17g}" if avg else ""
-            err_s = f"{err:.17g}" if err is not None else ""
-            fh.write(
-                f"{i},{s},{lam.real:.17g},{lam.imag:.17g},{int(peri)},{int(defl)},"
-                f"{N},{avg_re},{avg_im},{ref.real:.17g},{ref.imag:.17g},{err_s},{status}\n"
-            )
+    csv_path.write_text("".join(csv_lines), newline="")
 
     worst = max(residuals.values()) if residuals else 0.0
     return [eig_path, csv_path], len(pairs), worst
@@ -554,13 +553,9 @@ def cmd_eigs(args) -> int:
     if system is None:
         return EXIT_VALIDATION
     pd = compute_perturbation(system, report)
-    try:
-        files, swept, worst = write_eigs_tables(
-            system, pd, out_dir, args.seed, args.layer, args.index
-        )
-    except OrbitOverflowError as exc:
-        print(f"orbit overflow: {exc}", file=_sys.stderr)
-        return EXIT_OVERFLOW
+    files, swept, worst = write_eigs_tables(
+        system, pd, out_dir, args.seed, args.layer, args.index
+    )
     write_manifest(
         out_dir,
         {"spec": str(args.spec), "seed": args.seed, "layer": args.layer,
@@ -589,62 +584,41 @@ def _repro_single(seed: int, out_dir: Path, args) -> int:
         horizon=args.horizon,
         tol_profile=args.tol_profile,
     )
-    streams = _rng_streams(seed, 3)
-    dims = [
-        int(d)
-        for d in streams[0].integers(cfg.dim_range[0], cfg.dim_range[1] + 1, cfg.layers)
-    ]
-    try:
-        system = random_chained_cascade(dims, cfg.norm_schedule(), streams[0])
-    except GenerationFailedError as exc:
-        print(f"generation failed: {exc}", file=_sys.stderr)
-        return EXIT_GENERATION
+    system = _draw_cascade(cfg)
     report = validate_conditions(system)
     pd = compute_perturbation(system, report)
-    x0 = system.random_state(streams[1])
+    x0 = _initial_state(system, None, seed)
 
     _write_json(out_dir / "cascade.json", cascade_to_json(system))
     _write_json(out_dir / "conditions.json", report.to_json())
     _write_json(out_dir / "x0.json", state_to_json(x0))
     _write_json(out_dir / "perturbation.json", perturbation_to_json(system, pd))
 
-    conj_spec = {"kind": "polynomialDiagonal", "a": [args.cubic] * cfg.layers}
+    conj = polynomial_conjugacy([args.cubic] * cfg.layers)
     profile = TolProfile.named(cfg.tol_profile)
-    try:
-        es = compute_error_series(system, pd, x0, cfg.horizon)
-        csv_path = out_dir / "errors.csv"
-        error_series_to_csv(es, csv_path)
-        _write_plot_script(out_dir, csv_path.name, system.n)
-
-        _write_json(out_dir / "conjugacy.json", conj_spec)
-        results = run_checks(
-            system, pd, x0, cfg.horizon, list(ALL_CHECKS), profile, conj_spec,
-            seed=seed,
-        )
-        overall = all(r["passed"] for r in results.values())
-        _write_json(out_dir / "verify_report.json", {
-            "validation": report.to_json(), "checks": results, "overall": overall,
-            "tol_profile": profile.name, "horizon": cfg.horizon,
-        })
-
-        write_eigs_tables(system, pd, out_dir, seed)
-    except OrbitOverflowError as exc:
-        print(f"orbit overflow: {exc}", file=_sys.stderr)
-        return EXIT_OVERFLOW
+    es = compute_error_series(system, pd, x0, cfg.horizon)
+    _write_error_series(out_dir, es, system.n)
+    _write_json(out_dir / "conjugacy.json", conj.to_json())
+    results = run_checks(
+        system, pd, x0, cfg.horizon, list(ALL_CHECKS), profile, conj, seed=seed
+    )
+    overall = _write_verify_report(out_dir, report, results, profile, cfg.horizon)
+    write_eigs_tables(system, pd, out_dir, seed)
 
     files = sorted(p for p in out_dir.iterdir() if p.is_file() and p.name != "manifest.json")
-    write_manifest(out_dir, cfg.to_json(), {k: v["passed"] for k, v in results.items()}, files)
+    write_manifest(out_dir, asdict(cfg), {k: v["passed"] for k, v in results.items()}, files)
     print(f"seed {seed}: checks {'pass' if overall else 'FAIL'} -> {out_dir}")
     return EXIT_OK if overall else EXIT_CHECKS
 
 
 def cmd_repro(args) -> int:
     out_dir = Path(args.out_dir)
-    if args.trials <= 1:
+    if args.trials == 1:
         return _repro_single(args.seed, out_dir, args)
+    # one failed trial does not stop the sweep: each maps its own failure
     codes = {
-        args.seed + k: _repro_single(args.seed + k, out_dir / f"trial_{k:04d}", args)
-        for k in range(args.trials)
+        seed: _exit_code(_repro_single, seed, out_dir / f"trial_{k:04d}", args)
+        for k, seed in enumerate(range(args.seed, args.seed + args.trials))
     }
     bad = {s: c for s, c in codes.items() if c != EXIT_OK}
     if bad:
@@ -736,7 +710,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         _check_numbers(args)
-        return args.func(args)
+        return _exit_code(args.func, args)
     except UsageError as exc:
         print(f"koopcascade {args.command}: {exc}", file=_sys.stderr)
         return EXIT_USAGE

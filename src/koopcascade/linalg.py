@@ -136,9 +136,19 @@ def composite_norm(layers: Iterable[np.ndarray]) -> float:
 
 def layer_norms(X: np.ndarray, offsets: np.ndarray, axis: int = -1) -> np.ndarray:
     """Per-layer 2-norms of stacked states along ``axis``, whose layer k
-    occupies offsets[k]:offsets[k+1]; that axis shrinks to one entry per layer."""
-    sq = X.real**2 + X.imag**2
-    return np.sqrt(np.add.reduceat(sq, offsets[:-1], axis=axis))
+    occupies offsets[k]:offsets[k+1]; that axis shrinks to one entry per layer.
+
+    Where the squares of a finite X overflow, those norms are taken of X
+    scaled by a power of two, which is exact, and scaled back. Overflow
+    warnings of the plain pass are the caller's to silence.
+    """
+    norms = np.sqrt(np.add.reduceat(X.real**2 + X.imag**2, offsets[:-1], axis=axis))
+    if np.isinf(norms).any() and np.isfinite(X).all():
+        e = np.frexp(max(np.abs(X.real).max(), np.abs(X.imag).max()))[1]
+        re, im = np.ldexp(X.real, -e), np.ldexp(X.imag, -e)
+        scaled = np.sqrt(np.add.reduceat(re**2 + im**2, offsets[:-1], axis=axis))
+        norms = np.where(np.isinf(norms), np.ldexp(scaled, e), norms)
+    return norms
 
 
 def apply_by_block_rows(

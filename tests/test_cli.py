@@ -28,6 +28,12 @@ def assert_one_line_overflow(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def assert_one_line_naming(capsys, flag):
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.fixture()
 def scalar_spec(tmp_path, scalar_pair):
     path = tmp_path / "scalar.json"
@@ -335,6 +341,26 @@ class TestReproPaper:
                    "--out-dir", tmp_path / "huge") == 4
         assert_one_line_overflow(capsys)
 
+    def test_failed_trial_does_not_stop_sweep(self, tmp_path, capsys):
+        # both 20-layer trials overflow; each still writes its own directory
+        out = tmp_path / "deep"
+        assert run("repro-paper", "--layers", 20, "--horizon", 5, "--trials", 2,
+                   "--out-dir", out) == 4
+        for k in range(2):
+            assert (out / f"trial_{k:04d}" / "cascade.json").exists()
+        err = capsys.readouterr().err
+        assert err.count("orbit overflow") == 2 and "Traceback" not in err
+
+    def test_near_limit_orbit_norms_stay_finite(self, tmp_path, capsys):
+        # a = 1e250 drives the coupled and nominal orbits about 9e262 apart:
+        # the squares of that distance overflow, its norm must not
+        out = tmp_path / "big"
+        assert run("repro-paper", "--seed", 45, "--cubic", 1e250, "--out-dir", out) == 0
+        assert capsys.readouterr().err == ""
+        rep = json.loads((out / "verify_report.json").read_text(),
+                         parse_constant=lambda name: pytest.fail(f"non-finite {name}"))
+        assert rep["checks"]["nonlinear-equivalence"]["passed"]
+
     def test_log_rel_err_decreases_linearly(self, tmp_path):
         out = tmp_path / "r3"
         assert run("repro-paper", "--out-dir", out) == 0
@@ -381,6 +407,32 @@ class TestBadFileArguments:
         assert flag in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("content", [
+        {},
+        {"kind": "polynomialDiagonal"},
+        [1, 2],
+        {"kind": "polynomialDiagonal", "a": 5},
+        {"kind": "polynomialDiagonal", "a": [0.1]},  # one layer, the spec has two
+    ], ids=json.dumps)
+    def test_conjugacy_not_fitting_spec_exit_2(self, tmp_path, capsys, scalar_spec, content):
+        conj = tmp_path / "conj.json"
+        conj.write_text(json.dumps(content))
+        assert run("verify", "--spec", scalar_spec, "--conjugacy", conj,
+                   "--out-dir", tmp_path / "o") == 2
+        assert_one_line_naming(capsys, "--conjugacy")
+
+    @pytest.mark.parametrize("content", [
+        {"layers": [{"dim": 1, "data": [[1.0, 0.0]]}]},  # one layer, the spec has two
+        {"layers": [{"dim": 1, "data": [[1.0]]}, {"dim": 1, "data": [[1.0]]}]},
+    ], ids=["layer-count", "short-pair"])
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_x0_not_fitting_spec_exit_2(self, tmp_path, capsys, scalar_spec, command, content):
+        x0 = tmp_path / "x0.json"
+        x0.write_text(json.dumps(content))
+        assert run(command, "--spec", scalar_spec, "--x0", x0,
+                   "--out-dir", tmp_path / "o") == 2
+        assert_one_line_naming(capsys, "--x0")
+
     @pytest.mark.parametrize("argv", [
         ["repro-paper", "--layers", 0],
         ["repro-paper", "--horizon", -1],
@@ -393,6 +445,7 @@ class TestBadFileArguments:
         ["eigs", "--spec", "SPEC", "--index", 0],
         ["repro-paper", "--seed", -1],
         ["repro-paper", "--cubic", -1],
+        ["repro-paper", "--trials", 0],
     ], ids=lambda argv: " ".join(map(str, argv)))
     def test_unusable_numbers_exit_2(self, tmp_path, capsys, scalar_spec, argv):
         argv = [scalar_spec if a == "SPEC" else a for a in argv]

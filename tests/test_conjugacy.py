@@ -270,7 +270,7 @@ class TestNewtonSolves:
         T = 200
         results = run_checks(
             system, pd, x0, T, list(NONLINEAR_CHECKS), TolProfile(),
-            {"kind": "polynomialDiagonal", "a": [0.1] * system.n},
+            kc.polynomial_conjugacy([0.1] * system.n),
         )
         assert all(r["passed"] for r in results.values())
         assert len(calls) <= 2 * (T + 1)

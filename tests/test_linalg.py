@@ -130,6 +130,27 @@ class TestCompositeNorm:
         )
 
 
+class TestLayerNorms:
+    def test_overflowing_squares_rescaled(self):
+        # finite entries near 1e200: their squares overflow, the norms do not
+        X = np.array([[1e200 + 1e200j, 3e200, 1e-150], [1.0, 2.0, 4.0]])
+        offsets = np.array([0, 2, 3])
+        with np.errstate(over="ignore"):
+            norms = linalg.layer_norms(X, offsets)
+            np.testing.assert_allclose(
+                norms, [[np.sqrt(11.0) * 1e200, 1e-150], [np.sqrt(5.0), 4.0]], rtol=1e-15
+            )
+            # a non-finite X keeps the plain result
+            X[1, 0] = np.inf
+            assert np.isinf(linalg.layer_norms(X, offsets)[0, 0])
+
+    def test_plain_result_unchanged(self):
+        X = np.random.default_rng(0).normal(size=(5, 6)) + 1j
+        offsets = np.array([0, 2, 6])
+        plain = np.sqrt(np.add.reduceat(X.real**2 + X.imag**2, offsets[:-1], axis=-1))
+        np.testing.assert_array_equal(linalg.layer_norms(X, offsets), plain)
+
+
 def _block_operators(system):
     """V and Vinv (block diagonal) and Q V (block lower triangular), each
     with the flag that apply_by_block_rows takes for it."""
