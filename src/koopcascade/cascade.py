@@ -383,12 +383,21 @@ def cascade_to_json(sys: CascadeSystem) -> dict:
     return {"layers": layers}
 
 
+def _json_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def cascade_from_json(obj) -> CascadeSystem:
-    layers = obj["layers"]
+    layers = _json_object(obj, "spec")["layers"]
+    if not isinstance(layers, list):
+        raise ValueError(f"spec layers must be a JSON list, got {type(layers).__name__}")
     L = []
     couplings: dict[tuple[int, int], np.ndarray] = {}
     for k, entry in enumerate(layers):
         i = k + 1
+        _json_object(entry, f"layer {i}")
         m = linalg.matrix_from_json(entry["L"])
         if m.shape != (int(entry["dim"]), int(entry["dim"])):
             raise ValueError(f"layer {i}: matrix shape {m.shape} != dim {entry['dim']}")
@@ -398,7 +407,7 @@ def cascade_from_json(obj) -> CascadeSystem:
                 raise ValueError("layer 1 cannot have an upstream coupling")
             couplings[(i, i - 1)] = linalg.matrix_from_json(entry["C_prev"])
         if "C" in entry:
-            for j_str, cm in entry["C"].items():
+            for j_str, cm in _json_object(entry["C"], f"layer {i} C").items():
                 couplings[(i, int(j_str))] = linalg.matrix_from_json(cm)
     return CascadeSystem.build(L, couplings)
 

@@ -22,8 +22,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import os
 import sys as _sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -611,15 +614,96 @@ def _repro_single(seed: int, out_dir: Path, args) -> int:
     return EXIT_OK if overall else EXIT_CHECKS
 
 
+def _trial(k: int, seed: int, out_dir: Path, args) -> list:
+    """[exit code, stdout, stderr] of trial k of a sweep, with the lines it
+    prints captured. One failed trial does not stop the sweep: each maps its
+    own failure to its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = _exit_code(_repro_single, seed, out_dir / f"trial_{k:04d}", args)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def _fork_worker(ks: range, seeds: range, out_dir: Path, args) -> tuple[int, int]:
+    """Fork a child that runs trials ks and writes {k: [exit code, stdout,
+    stderr]} as JSON to a pipe; returns its pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        results = {}
+        for k in ks:
+            try:
+                results[k] = _trial(k, seeds[k], out_dir, args)
+            except Exception:
+                import traceback
+
+                results[k] = [1, "", traceback.format_exc()]
+        with open(write_fd, "w") as fh:
+            json.dump(results, fh)
+        status = 0
+    finally:
+        # leave without running the parent's cleanup: finally blocks above
+        # this frame, atexit handlers and buffered stdio belong to the parent
+        os._exit(status)
+
+
+def _read_worker(pid: int, read_fd: int, ks: range, seeds: range) -> dict[int, list]:
+    """The results a forked worker reports, read to EOF before it is reaped;
+    a worker that did not finish reports each of its trials as exit 1."""
+    try:
+        with open(read_fd) as fh:
+            text = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        return {k: [1, "", f"seed {seeds[k]}: trial worker {pid} ended with exit code "
+                    f"{code} before reporting\n"] for k in ks}
+    return {int(k): result for k, result in json.loads(text).items()}
+
+
+def _sweep(seeds: range, out_dir: Path, args) -> dict[int, list]:
+    """[exit code, stdout, stderr] of each trial k of a sweep.
+
+    The trials are independent, so they run on W = min(trials, CPUs)
+    workers: worker w runs trials w, w + W, ... Worker 0 is this process;
+    the others are forked, so they start with the modules already imported.
+    Every forked worker is reaped before this returns or raises.
+    """
+    n = len(seeds)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_workers = min(n, cpus)
+    _sys.stdout.flush()
+    _sys.stderr.flush()
+    workers = []
+    try:
+        for w in range(1, n_workers):
+            ks = range(w, n, n_workers)
+            workers.append((*_fork_worker(ks, seeds, out_dir, args), ks))
+        results = {k: _trial(k, seeds[k], out_dir, args) for k in range(0, n, n_workers)}
+    finally:
+        reported = [_read_worker(pid, fd, ks, seeds) for pid, fd, ks in workers]
+    for part in reported:
+        results.update(part)
+    return results
+
+
 def cmd_repro(args) -> int:
     out_dir = Path(args.out_dir)
     if args.trials == 1:
         return _repro_single(args.seed, out_dir, args)
-    # one failed trial does not stop the sweep: each maps its own failure
-    codes = {
-        seed: _exit_code(_repro_single, seed, out_dir / f"trial_{k:04d}", args)
-        for k, seed in enumerate(range(args.seed, args.seed + args.trials))
-    }
+    seeds = range(args.seed, args.seed + args.trials)
+    results = _sweep(seeds, out_dir, args)
+    codes = {}
+    for k, seed in enumerate(seeds):
+        codes[seed], out, err = results[k]
+        _sys.stdout.write(out)
+        _sys.stderr.write(err)
     bad = {s: c for s, c in codes.items() if c != EXIT_OK}
     if bad:
         print(f"failing trials (seed: exit code): {bad}", file=_sys.stderr)
@@ -695,8 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--cubic", type=float, default=0.1,
                    help="cubic conjugacy coefficient for the nonlinear checks")
     r.add_argument("--trials", type=int, default=1,
-                   help="run this many consecutive seeds, one after another, "
-                   "into trial_0000, trial_0001, ...")
+                   help="run this many consecutive seeds into trial_0000, "
+                   "trial_0001, ..., in parallel on the available CPUs")
     r.set_defaults(func=cmd_repro)
 
     return parser

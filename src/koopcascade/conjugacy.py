@@ -33,36 +33,54 @@ CONJ_TOL = 1e-10
 WORKING_BALL_RADIUS = 2.0
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _invert_monotone_cubic(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Solve u + a*u**3 = w coordinatewise (a >= 0 per coordinate, strictly
-    increasing).
+# Inside the cubic maps, overflow gives inf, 2/r is inf at a = 0 and the
+# closed form's inf*0 there is replaced by w; these are expected, so the maps
+# run with their floating-point warnings off.
+_FP_IGNORE = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
+
+
+def _cubic(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """u -> u + c*u**3 on the real and imaginary parts of stacked states
+    (coordinates along the last axis); overflow gives inf. Call under
+    np.errstate(**_FP_IGNORE)."""
+    re, im = v.real, v.imag
+    return (re + c * re**3) + 1j * (im + c * im**3)
+
+
+class _CubicInverse:
+    """Inverse of _cubic with the coefficients c: solves u + a*u**3 = w for
+    each real and imaginary part w of stacked states (a >= 0 per coordinate,
+    strictly increasing).
 
     Closed form (hyperbolic Cardano): u = (2/r) sinh(asinh(1.5 r w) / 3) with
     r = sqrt(3a), polished by one Newton step. Where 1.5 r w is not finite the
     cubic term dominates and the start is cbrt(w / a) instead. Coordinates with
     a = 0 give u = w exactly. Non-finite w gives a non-finite u, silently.
+    The constants of a are computed once, here; call under
+    np.errstate(**_FP_IGNORE).
     """
-    r = np.sqrt(3.0 * a)
-    z = 1.5 * r * w
-    u = np.where(np.isfinite(z), 2.0 / r * np.sinh(np.arcsinh(z) / 3.0), np.cbrt(w / a))
-    u = np.where(a == 0.0, w, u)
-    return u - (u + a * u**3 - w) / (1.0 + 3.0 * a * u * u)
 
+    def __init__(self, c: np.ndarray):
+        # the float64 view of a complex state interleaves re_0, im_0, re_1, ...
+        a = np.repeat(c, 2)
+        r = np.sqrt(3.0 * a)
+        with np.errstate(divide="ignore"):
+            self.two_over_r = 2.0 / r
+        self.a, self.r15, self.a3, self.linear = a, 1.5 * r, 3.0 * a, a == 0.0
 
-@np.errstate(over="ignore", invalid="ignore")
-def _cubic(v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """u -> u + c*u**3 on the real and imaginary parts of stacked states
-    (coordinates along the last axis); overflow gives inf, silently."""
-    re, im = v.real, v.imag
-    return (re + c * re**3) + 1j * (im + c * im**3)
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        w = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
+        return self.solve(w).view(np.complex128)
 
-
-def _cubic_inverse(v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Inverse of _cubic: one closed-form solve over all real and imaginary
-    parts."""
-    u = _invert_monotone_cubic(np.stack([v.real, v.imag]), c)
-    return u[0] + 1j * u[1]
+    def solve(self, w: np.ndarray) -> np.ndarray:
+        """u with u + a*u**3 = w, coordinatewise on float64 parts."""
+        z = self.r15 * w
+        u = self.two_over_r * np.sinh(np.arcsinh(z) / 3.0)
+        huge = ~np.isfinite(z)
+        if huge.any():
+            u[huge] = np.cbrt(w / self.a)[huge]
+        np.copyto(u, w, where=self.linear)
+        return u - (u + self.a * u**3 - w) / (1.0 + self.a3 * u * u)
 
 
 def _coords(a: tuple[float, ...], dims: Sequence[int]) -> np.ndarray:
@@ -91,10 +109,15 @@ class Conjugacy:
     def stacked_maps(self, dims: Sequence[int]) -> tuple[Callable, Callable]:
         """(tau, tau^-1) on stacked states of a cascade with these layer
         dims, coordinates along the last axis."""
+        return tuple(np.errstate(**_FP_IGNORE)(f) for f in self._bare_stacked_maps(dims))
+
+    def _bare_stacked_maps(self, dims: Sequence[int]) -> tuple[Callable, Callable]:
+        """stacked_maps without their np.errstate(**_FP_IGNORE), for a caller
+        that holds it over many calls."""
         if self.cubic_coeffs is None:
             return (lambda v: v), (lambda v: v)
         c = _coords(self.cubic_coeffs, dims)
-        return partial(_cubic, c=c), partial(_cubic_inverse, c=c)
+        return partial(_cubic, c=c), _CubicInverse(c)
 
     def to_json(self) -> dict:
         if self.kind == "identity":
@@ -120,6 +143,7 @@ def polynomial_conjugacy(coeffs: Sequence[float]) -> Conjugacy:
         raise ValueError(f"cubic coefficients must be finite and >= 0, got {a}")
 
     def on_states(stacked_map):
+        @np.errstate(**_FP_IGNORE)
         def apply(x: StateVector) -> StateVector:
             return StateVector.unstack(stacked_map(x.stacked(), _coords(a, x.dims)), x.dims)
 
@@ -128,7 +152,7 @@ def polynomial_conjugacy(coeffs: Sequence[float]) -> Conjugacy:
     return Conjugacy(
         kind="polynomialDiagonal",
         forward=on_states(_cubic),
-        inverse=on_states(_cubic_inverse),
+        inverse=on_states(lambda v, c: _CubicInverse(c)(v)),
         cubic_coeffs=a,
     )
 
@@ -162,14 +186,16 @@ def conjugated_orbit(
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    forward, inverse = nl.conj.stacked_maps(nl.base.dims)
+    forward, inverse = nl.conj._bare_stacked_maps(nl.base.dims)
     Y = np.empty((T + 1, y0.size), dtype=np.complex128)
     X = np.empty_like(Y)
     Y[0] = y0
-    for t in range(T):
-        X[t] = inverse(Y[t])
-        Y[t + 1] = forward(M @ X[t])
-    X[T] = inverse(Y[T])
+    # an overflowing M @ X[t] is reported below, as every non-finite state is
+    with np.errstate(**_FP_IGNORE):
+        for t in range(T):
+            X[t] = inverse(Y[t])
+            Y[t + 1] = forward(M @ X[t])
+        X[T] = inverse(Y[T])
     if not (np.isfinite(Y).all() and np.isfinite(X).all()):
         raise OrbitOverflowError("non-finite state while iterating the conjugated orbit")
     return Y, X

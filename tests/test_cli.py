@@ -380,6 +380,76 @@ class TestReproPaper:
             assert slope < 0, f"layer {layer} log rel err not decreasing"
 
 
+class TestTrialSweep:
+    """repro-paper --trials runs its trials on forked workers."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # two workers on any machine: trial k runs on worker k % 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.fixture()
+    def raising_seed(self, monkeypatch):
+        """Make the trial of one seed raise a RuntimeError."""
+        from koopcascade import cli
+
+        repro_single = cli._repro_single
+
+        def set_seed(raising):
+            def trial(seed, out_dir, args):
+                if seed == raising:
+                    raise RuntimeError(f"trial {seed} raised")
+                return repro_single(seed, out_dir, args)
+
+            monkeypatch.setattr(cli, "_repro_single", trial)
+
+        return set_seed
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_lines_in_seed_order(self, tmp_path, capsys):
+        assert run("repro-paper", "--trials", 3, "--out-dir", tmp_path / "s") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "seed 45", "seed 46", "seed 47", "all 3 trials passed"
+        ]
+        self.assert_no_child_left()
+
+    def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch):
+        two, one = tmp_path / "two", tmp_path / "one"
+        assert run("repro-paper", "--trials", 2, "--out-dir", two) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
+        assert run("repro-paper", "--trials", 2, "--out-dir", one) == 0
+        names = sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+        assert names == sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+        for name in names:
+            if name.name != "manifest.json":
+                assert (two / name).read_bytes() == (one / name).read_bytes(), name
+        self.assert_no_child_left()
+
+    def test_forked_trial_that_raises_is_exit_1(self, tmp_path, capsys, raising_seed):
+        raising_seed(46)
+        out = tmp_path / "s"
+        assert run("repro-paper", "--trials", 2, "--out-dir", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("seed 45: checks pass")
+        assert "Traceback" in captured.err and "RuntimeError: trial 46 raised" in captured.err
+        assert captured.err.endswith("failing trials (seed: exit code): {46: 1}\n")
+        self.assert_no_child_left()
+
+    def test_worker_0_trial_that_raises_leaves_no_child(self, tmp_path, raising_seed):
+        raising_seed(45)
+        out = tmp_path / "s"
+        with pytest.raises(RuntimeError, match="trial 45 raised"):
+            run("repro-paper", "--trials", 2, "--out-dir", out)
+        assert (out / "trial_0001" / "manifest.json").exists()
+        self.assert_no_child_left()
+
+
 class TestBadFileArguments:
     @pytest.fixture()
     def bad_paths(self, tmp_path):
@@ -420,6 +490,17 @@ class TestBadFileArguments:
         assert run("verify", "--spec", scalar_spec, "--conjugacy", conj,
                    "--out-dir", tmp_path / "o") == 2
         assert_one_line_naming(capsys, "--conjugacy")
+
+    def test_spec_coupling_list_exit_2(self, tmp_path, capsys):
+        # layer 2 of the seed-45 spec with its chain coupling given as
+        # "C": [matrix] instead of {"1": matrix}
+        obj = kc.cascade_to_json(cli_cascade(45))
+        layer = obj["layers"][1]
+        layer["C"] = [layer.pop("C_prev")]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert run("verify", "--spec", spec, "--out-dir", tmp_path / "o") == 2
+        assert_one_line_naming(capsys, "--spec")
 
     @pytest.mark.parametrize("content", [
         {"layers": [{"dim": 1, "data": [[1.0, 0.0]]}]},  # one layer, the spec has two

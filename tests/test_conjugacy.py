@@ -260,20 +260,22 @@ class TestNewtonSolves:
         x0 = cli_state(system, 45)
         pd = kc.compute_perturbation(system)
         calls = []
-        solve = conjugacy._invert_monotone_cubic
+        solve = conjugacy._CubicInverse.solve
 
-        def counted(w, a):
+        def counted(self, w):
             calls.append(w.shape)
-            return solve(w, a)
+            return solve(self, w)
 
-        monkeypatch.setattr(conjugacy, "_invert_monotone_cubic", counted)
+        monkeypatch.setattr(conjugacy._CubicInverse, "solve", counted)
         T = 200
         results = run_checks(
             system, pd, x0, T, list(NONLINEAR_CHECKS), TolProfile(),
             kc.polynomial_conjugacy([0.1] * system.n),
         )
         assert all(r["passed"] for r in results.values())
-        assert len(calls) <= 2 * (T + 1)
+        # one solve per orbit state: at most two orbits of T + 1 states
+        assert 1 <= len(calls) <= 2 * (T + 1)
+        assert set(calls) == {(2 * sum(system.dims),)}
 
 
 class TestConjugacyJson:
