@@ -29,6 +29,7 @@ import sys as _sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -64,21 +65,14 @@ from .observables import (
     peripheral_modes,
 )
 from .orbits import (
+    CheckResult,
+    ErrorSeries,
     check_asymptotic_equivalence,
     check_error_bounds,
     compute_error_series,
     error_series_to_csv,
 )
 from .perturbation import PerturbationData, compute_perturbation, perturbation_to_json
-
-LINEAR_CHECKS = (
-    "error-bounds",
-    "asymptotic-equivalence",
-    "eigenfunction-bounds",
-    "eigenfunction-exactness",
-)
-NONLINEAR_CHECKS = ("nonlinear-equivalence", "nonlinear-eigenfunction-decay")
-ALL_CHECKS = LINEAR_CHECKS + NONLINEAR_CHECKS
 
 LAPLACE_N_GRID = (10, 100, 1000)
 
@@ -150,9 +144,9 @@ def _rng_streams(seed: int, count: int) -> list[np.random.Generator]:
 
 
 def _write_json(path: Path, obj) -> None:
+    # one write: json.dump makes one per token
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def write_manifest(out_dir: Path, config: dict, checks: dict, files: list[Path]) -> Path:
@@ -199,10 +193,10 @@ def _write_verify_report(
     out_dir: Path, report, results: dict, profile: TolProfile, horizon: int
 ) -> bool:
     """verify_report.json for these check results; returns whether all passed."""
-    overall = all(r["passed"] for r in results.values())
+    overall = all(r.passed for r in results.values())
     _write_json(out_dir / "verify_report.json", {
         "validation": report.to_json(),
-        "checks": results,
+        "checks": {name: r.to_json() for name, r in results.items()},
         "overall": overall,
         "tol_profile": profile.name,
         "horizon": horizon,
@@ -345,10 +339,8 @@ def cmd_simulate(args) -> int:
     x0_path = out_dir / "x0.json"
     _write_json(x0_path, state_to_json(x0))
     profile = TolProfile.named(args.tol_profile)
-    bounds = check_error_bounds(
-        es, slack=profile.slack, decay_factor=profile.decay_factor,
-        rel_floor=profile.rel_floor,
-    )
+    checks = run_checks(system, pd, x0, args.horizon, ["error-bounds"], profile, None, es=es)
+    bounds = checks["error-bounds"]
     write_manifest(
         out_dir,
         {"spec": str(args.spec), "horizon": args.horizon, "seed": args.seed,
@@ -358,10 +350,92 @@ def cmd_simulate(args) -> int:
     )
     print(
         f"simulated T={args.horizon}: bounds "
-        f"{'hold' if bounds.bounds_ok else 'VIOLATED'}, decay "
-        f"{'ok' if bounds.decay_ok else 'FAIL'} -> {csv_path}"
+        f"{'hold' if bounds.detail['bounds_ok'] else 'VIOLATED'}, decay "
+        f"{'ok' if bounds.detail['decay_ok'] else 'FAIL'} -> {csv_path}"
     )
     return EXIT_OK
+
+
+@dataclass
+class _CheckRun:
+    """The inputs that the checks of one run_checks call read."""
+
+    system: CascadeSystem
+    pd: PerturbationData
+    x0: StateVector
+    horizon: int
+    selected: list[str]
+    profile: TolProfile
+    conj: Conjugacy | None
+    seed: int
+    es: ErrorSeries | None
+
+    @property
+    def decay_horizon(self) -> int:
+        """The top-layer decay sweep reads states 0..decay_horizon, where
+        rounding floors stay benign."""
+        return min(self.horizon, 100)
+
+    @property
+    def nl(self) -> NonlinearCascade:
+        return NonlinearCascade(base=self.system, conj=self.conj)
+
+    @cached_property
+    def nonlinear_orbit(self) -> tuple[np.ndarray, np.ndarray]:
+        """conjugated_orbit's (Y, X) from tau(x0), iterated once for both
+        nonlinear checks, as far as the selected ones read."""
+        T = self.horizon if "nonlinear-equivalence" in self.selected else self.decay_horizon
+        return conjugated_orbit(self.nl, self.system.A, self.conj.forward(self.x0).stacked(), T)
+
+
+def _eigenfunction_exactness(run: _CheckRun) -> CheckResult:
+    rng = _rng_streams(run.seed, 3)[2]
+    samples = [run.system.random_state(rng) for _ in range(20)]
+    residuals = eigenfunction_residuals(run.system, run.pd, samples, horizon=min(run.horizon, 50))
+    worst = max(residuals.values()) if residuals else 0.0
+    tol = run.profile.residual_tol
+    return CheckResult(worst <= tol, {"max_residual": worst, "residual_tol": tol})
+
+
+def _nonlinear_eigenfunction_decay(run: _CheckRun) -> CheckResult:
+    """The all-modes decay check, judged on the top layer's pairs."""
+    _, X = run.nonlinear_orbit
+    per_mode = check_nonlinear_eigenfunction_decay(
+        run.nl, run.pd, X[: run.decay_horizon + 1],
+        decay_factor=run.profile.decay_factor, agreement_tol=run.profile.agreement_tol,
+    )
+    top = {f"{i},{s}": r for (i, s), r in per_mode.items() if i == run.system.n}
+    return CheckResult(
+        all(r.passed for r in top.values()), {"pairs": {k: r.to_json() for k, r in top.items()}}
+    )
+
+
+# check name -> (needs a conjugacy, check), in the order run_checks runs them.
+# A check calls the library function by its module-level name when it runs,
+# so a wrapper put in that name's place (a tracer's, say) is the one called.
+CHECKS = {
+    "error-bounds": (False, lambda run: check_error_bounds(
+        run.es or compute_error_series(run.system, run.pd, run.x0, run.horizon),
+        slack=run.profile.slack, decay_factor=run.profile.decay_factor,
+        rel_floor=run.profile.rel_floor,
+    )),
+    "asymptotic-equivalence": (False, lambda run: check_asymptotic_equivalence(
+        run.system, run.pd, run.x0, run.horizon,
+        ratio_tol=run.profile.equivalence_ratio, slack=run.profile.slack,
+    )),
+    "eigenfunction-bounds": (False, lambda run: check_eigenfunction_bounds(
+        run.system, run.pd, run.x0, run.horizon, slack=run.profile.slack,
+        decay_factor=run.profile.decay_factor, rel_floor=run.profile.rel_floor,
+    )),
+    "eigenfunction-exactness": (False, _eigenfunction_exactness),
+    "nonlinear-equivalence": (True, lambda run: check_nonlinear_equivalence(
+        run.nl, run.pd, *run.nonlinear_orbit, decay_factor=run.profile.decay_factor
+    )),
+    "nonlinear-eigenfunction-decay": (True, _nonlinear_eigenfunction_decay),
+}
+ALL_CHECKS = tuple(CHECKS)
+NONLINEAR_CHECKS = tuple(name for name, (nonlinear, _) in CHECKS.items() if nonlinear)
+LINEAR_CHECKS = tuple(name for name in CHECKS if name not in NONLINEAR_CHECKS)
 
 
 def run_checks(
@@ -373,62 +447,13 @@ def run_checks(
     profile: TolProfile,
     conj: Conjugacy | None,
     seed: int = 0,
-) -> dict:
-    """Run the selected checks and return {name: report-dict with 'passed'}.
-    The nonlinear checks run through conj, which they require."""
-    results: dict[str, dict] = {}
-
-    if "error-bounds" in selected:
-        es = compute_error_series(system, pd, x0, horizon)
-        results["error-bounds"] = check_error_bounds(
-            es, slack=profile.slack, decay_factor=profile.decay_factor,
-            rel_floor=profile.rel_floor,
-        ).to_json()
-    if "asymptotic-equivalence" in selected:
-        results["asymptotic-equivalence"] = check_asymptotic_equivalence(
-            system, pd, x0, horizon, ratio_tol=profile.equivalence_ratio,
-            slack=profile.slack,
-        ).to_json()
-    if "eigenfunction-bounds" in selected:
-        results["eigenfunction-bounds"] = check_eigenfunction_bounds(
-            system, pd, x0, horizon, slack=profile.slack,
-            decay_factor=profile.decay_factor, rel_floor=profile.rel_floor,
-        ).to_json()
-    if "eigenfunction-exactness" in selected:
-        sample_rng = _rng_streams(seed, 3)[2]
-        samples = [system.random_state(sample_rng) for _ in range(20)]
-        residuals = eigenfunction_residuals(system, pd, samples, horizon=min(horizon, 50))
-        worst = max(residuals.values()) if residuals else 0.0
-        results["eigenfunction-exactness"] = {
-            "passed": worst <= profile.residual_tol,
-            "max_residual": worst,
-            "residual_tol": profile.residual_tol,
-        }
-
-    nonlinear = [c for c in selected if c in NONLINEAR_CHECKS]
-    if nonlinear:
-        nl = NonlinearCascade(base=system, conj=conj)
-        # The top-layer decay sweep reads the first t4 + 1 states, at a
-        # horizon where rounding floors stay benign; the orbit is iterated
-        # once for both checks.
-        t4 = min(horizon, 100)
-        T = horizon if "nonlinear-equivalence" in nonlinear else t4
-        Y, X = conjugated_orbit(nl, system.A, conj.forward(x0).stacked(), T)
-        if "nonlinear-equivalence" in nonlinear:
-            results["nonlinear-equivalence"] = check_nonlinear_equivalence(
-                nl, pd, Y, X, decay_factor=profile.decay_factor
-            ).to_json()
-        if "nonlinear-eigenfunction-decay" in nonlinear:
-            reports = check_nonlinear_eigenfunction_decay(
-                nl, pd, X[: t4 + 1],
-                decay_factor=profile.decay_factor,
-                agreement_tol=profile.agreement_tol,
-            )
-            sub = {f"{i},{s}": r.to_json() for (i, s), r in reports.items() if i == system.n}
-            passed = all(r["passed"] for r in sub.values())
-            results["nonlinear-eigenfunction-decay"] = {"passed": passed, "pairs": sub}
-
-    return results
+    es: ErrorSeries | None = None,
+) -> dict[str, CheckResult]:
+    """Run the selected checks and return {name: result}. The nonlinear
+    checks run through conj, which they require; error-bounds judges es, the
+    series compute_error_series(system, pd, x0, horizon) gives, if passed."""
+    run = _CheckRun(system, pd, x0, horizon, selected, profile, conj, seed, es)
+    return {name: check(run) for name, (_, check) in CHECKS.items() if name in selected}
 
 
 def cmd_verify(args) -> int:
@@ -445,7 +470,7 @@ def cmd_verify(args) -> int:
     if args.checks == "all":
         selected = list(ALL_CHECKS) if args.conjugacy else list(LINEAR_CHECKS)
     else:
-        selected = [c.strip() for c in args.checks.split(",") if c.strip()]
+        selected = list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
         unknown = [c for c in selected if c not in ALL_CHECKS]
         if unknown:
             raise UsageError(f"unknown checks: {unknown}; available: {list(ALL_CHECKS)}")
@@ -462,10 +487,10 @@ def cmd_verify(args) -> int:
     )
     overall = _write_verify_report(out_dir, report, results, profile, args.horizon)
     for name in selected:
-        status = "pass" if results[name]["passed"] else "FAIL"
+        status = "pass" if results[name].passed else "FAIL"
         print(f"{name}: {status}")
     if not overall:
-        failing = [n for n, r in results.items() if not r["passed"]]
+        failing = [n for n, r in results.items() if not r.passed]
         print(f"failing checks: {', '.join(failing)}", file=_sys.stderr)
         return EXIT_CHECKS
     print(f"all selected checks passed -> {out_dir / 'verify_report.json'}")
@@ -603,13 +628,13 @@ def _repro_single(seed: int, out_dir: Path, args) -> int:
     _write_error_series(out_dir, es, system.n)
     _write_json(out_dir / "conjugacy.json", conj.to_json())
     results = run_checks(
-        system, pd, x0, cfg.horizon, list(ALL_CHECKS), profile, conj, seed=seed
+        system, pd, x0, cfg.horizon, list(ALL_CHECKS), profile, conj, seed=seed, es=es
     )
     overall = _write_verify_report(out_dir, report, results, profile, cfg.horizon)
     write_eigs_tables(system, pd, out_dir, seed)
 
     files = sorted(p for p in out_dir.iterdir() if p.is_file() and p.name != "manifest.json")
-    write_manifest(out_dir, asdict(cfg), {k: v["passed"] for k, v in results.items()}, files)
+    write_manifest(out_dir, asdict(cfg), {k: v.passed for k, v in results.items()}, files)
     print(f"seed {seed}: checks {'pass' if overall else 'FAIL'} -> {out_dir}")
     return EXIT_OK if overall else EXIT_CHECKS
 

@@ -26,7 +26,7 @@ from . import linalg
 from .cascade import CascadeSystem, StateVector
 from .errors import DimensionMismatchError, OrbitOverflowError
 from .observables import inherited_eigenfunctions
-from .orbits import checked_orbit
+from .orbits import CheckResult, checked_orbit
 from .perturbation import PerturbationData
 
 CONJ_TOL = 1e-10
@@ -201,43 +201,21 @@ def conjugated_orbit(
     return Y, X
 
 
-@dataclass(frozen=True)
-class NonlinearEquivalenceReport:
-    """Decay of the nonlinear coupled/nominal orbit distance.
-
-    errors[t] = composite distance at step t between the coupled orbit from
-    y0 and the nominal nonlinear orbit from the perturbed initial condition.
-    """
-
-    passed: bool
-    errors: tuple[float, ...]
-    terminal_ratio: float
-    decay_factor: float
-    entered_ball_at: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "terminal_error": float(self.errors[-1]),
-            "max_error": float(max(self.errors)),
-            "terminal_ratio": float(self.terminal_ratio),
-            "decay_factor": float(self.decay_factor),
-            "entered_ball_at": self.entered_ball_at,
-        }
-
-
 def check_nonlinear_equivalence(
     nl: NonlinearCascade,
     pd: PerturbationData,
     Y: np.ndarray,
     X: np.ndarray,
     decay_factor: float = 1e-3,
-) -> NonlinearEquivalenceReport:
+) -> CheckResult:
     """Verify that the coupled nonlinear orbit and the perturbed nominal
     nonlinear orbit converge to each other over the horizon.
 
     Y and X are the coupled orbit from y0 and its tau^-1, as
-    conjugated_orbit(nl, nl.base.A, y0, T) returns them.
+    conjugated_orbit(nl, nl.base.A, y0, T) returns them. detail holds the
+    terminal and max composite distance between Y and the nominal orbit from
+    the perturbed start, their ratio, and entered_ball_at, the first t with
+    Y[t] inside the working ball (None if never).
     """
     sys = nl.base
     forward, _ = nl.conj.stacked_maps(sys.dims)
@@ -250,46 +228,16 @@ def check_nonlinear_equivalence(
     peak = float(errors.max())
     ratio = float(errors[-1]) / peak if peak > 0 else 0.0
     inside = np.flatnonzero(norms <= WORKING_BALL_RADIUS)
-    return NonlinearEquivalenceReport(
-        passed=ratio < decay_factor or peak == 0.0,
-        errors=tuple(errors.tolist()),
-        terminal_ratio=ratio,
-        decay_factor=decay_factor,
-        entered_ball_at=int(inside[0]) if inside.size else None,
+    return CheckResult(
+        passed=bool(ratio < decay_factor or peak == 0.0),
+        detail={
+            "terminal_error": float(errors[-1]),
+            "max_error": peak,
+            "terminal_ratio": ratio,
+            "decay_factor": float(decay_factor),
+            "entered_ball_at": int(inside[0]) if inside.size else None,
+        },
     )
-
-
-@dataclass(frozen=True)
-class NonlinearEigenfunctionReport:
-    """Nonlinear-path eigenfunction evolution vs its linear-path twin.
-
-    ratios[t] is the nonlinear-path difference divided by the layer norm
-    to the t; path_discrepancy is the largest |nonlinear - linear| ratio
-    disagreement over the agreement horizon.
-    """
-
-    passed: bool
-    decay_ok: bool
-    paths_agree: bool
-    ratios: tuple[float, ...]
-    terminal_ratio: float
-    path_discrepancy: float
-    agreement_horizon: int
-    decay_factor: float
-    agreement_tol: float
-
-    def to_json(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "decay_ok": bool(self.decay_ok),
-            "paths_agree": bool(self.paths_agree),
-            "terminal_ratio": float(self.terminal_ratio),
-            "max_ratio": float(max(self.ratios)),
-            "path_discrepancy": float(self.path_discrepancy),
-            "agreement_horizon": int(self.agreement_horizon),
-            "decay_factor": float(self.decay_factor),
-            "agreement_tol": float(self.agreement_tol),
-        }
 
 
 def check_nonlinear_eigenfunction_decay(
@@ -299,16 +247,20 @@ def check_nonlinear_eigenfunction_decay(
     decay_factor: float = 1e-3,
     agreement_horizon: int = 50,
     agreement_tol: float = 1e-8,
-) -> dict[tuple[int, int], NonlinearEigenfunctionReport]:
+) -> dict[tuple[int, int], CheckResult]:
     """Track every (psi_is o tau^-1) along the nonlinear orbit against its
     eigenvalue prediction at the perturbed start, relative to the layer
-    norm decay; one report per mode (i, s).
+    norm decay; one result per mode (i, s).
 
     X is tau^-1 of the coupled nonlinear orbit for t = 0..T, the second
     array conjugated_orbit(nl, nl.base.A, y0, T) returns; its first T + 1
     states from a longer orbit are the same. The same quantities evaluated
     purely on the linear side (at X[0]) must agree along the way; that
     identity is the cross-check.
+
+    The ratio at step t is the nonlinear-path difference over the layer norm
+    to the t; path_discrepancy is the largest |nonlinear - linear| ratio
+    disagreement over the agreement horizon.
     """
     sys = nl.base
     T = len(X) - 1
@@ -327,16 +279,20 @@ def check_nonlinear_eigenfunction_decay(
     decay_ok = (peak == 0.0) | (terminal < decay_factor)
     paths_agree = discrepancy <= agreement_tol
     return {
-        mode: NonlinearEigenfunctionReport(
+        mode: CheckResult(
             passed=bool(decay_ok[m] and paths_agree[m]),
-            decay_ok=bool(decay_ok[m]),
-            paths_agree=bool(paths_agree[m]),
-            ratios=tuple(ratios[:, m].tolist()),
-            terminal_ratio=float(terminal[m]),
-            path_discrepancy=float(discrepancy[m]),
-            agreement_horizon=h,
-            decay_factor=decay_factor,
-            agreement_tol=agreement_tol,
+            detail={
+                "decay_ok": bool(decay_ok[m]),
+                "paths_agree": bool(paths_agree[m]),
+                "terminal_ratio": float(terminal[m]),
+                # max() passes over a NaN ratio (0/0 once the norm power
+                # underflows) that peak would carry
+                "max_ratio": max(ratios[:, m].tolist()),
+                "path_discrepancy": float(discrepancy[m]),
+                "agreement_horizon": int(h),
+                "decay_factor": float(decay_factor),
+                "agreement_tol": float(agreement_tol),
+            },
         )
         for m, mode in enumerate(sys.modes)
     }

@@ -12,7 +12,6 @@ generalized Laplace (Cesaro) averaging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import linalg
 from .cascade import CascadeSystem, StateVector
 from .errors import DeflationIncompleteError, DimensionMismatchError, NotPeripheralError
-from .orbits import _error_series, _orbit_pair, check_state, checked_orbit
+from .orbits import CheckResult, _error_series, _orbit_pair, check_state, checked_orbit
 from .perturbation import PerturbationData
 
 PERIPHERAL_TOL = 1e-9
@@ -262,36 +261,6 @@ def laplace_average(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenfunctionBoundReport:
-    """Bound and decay status for all extended principal eigenfunctions.
-
-    max_bound_violation: worst |f(orbit_t) - lambda^t f(pert x)| minus the
-    functional-norm-scaled decaying bound, over all (i, s, t).
-    decay_ratios[(i, s)]: terminal ratio of the norm-relative difference to
-    its max over the horizon (layers >= 2 only).
-    """
-
-    passed: bool
-    bounds_ok: bool
-    decay_ok: bool
-    max_bound_violation: float
-    decay_ratios: dict[tuple[int, int], float]
-    slack: float
-    decay_factor: float
-
-    def to_json(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "bounds_ok": bool(self.bounds_ok),
-            "decay_ok": bool(self.decay_ok),
-            "max_bound_violation": float(self.max_bound_violation),
-            "decay_ratios": {f"{i},{s}": float(r) for (i, s), r in self.decay_ratios.items()},
-            "slack": float(self.slack),
-            "decay_factor": float(self.decay_factor),
-        }
-
-
 def check_eigenfunction_bounds(
     sys: CascadeSystem,
     pd: PerturbationData,
@@ -300,13 +269,18 @@ def check_eigenfunction_bounds(
     slack: float = 1e-9,
     decay_factor: float = 1e-3,
     rel_floor: float = 1e-10,
-) -> EigenfunctionBoundReport:
+) -> CheckResult:
     """Verify, for every (i, s >= 1), that the evolved eigenfunction stays
     within its decaying bound and that the norm-relative difference decays.
 
     A whole ratio series at rounding level (max <= slack) passes the decay
     leg trivially (the decoupled / layer-1 situation), as does a terminal
     ratio at or below rel_floor (series converged to the rounding floor).
+
+    detail: max_bound_violation, the worst |f(orbit_t) - lambda^t f(pert x)|
+    minus the functional-norm-scaled decaying bound over all (i, s, t);
+    decay_ratios["i,s"], the terminal ratio of the norm-relative difference
+    to its max over the horizon (layers >= 2 only); and the tolerances used.
     """
     orbit, nom, px = _orbit_pair(sys, pd, x0, T)
     es = _error_series(sys, pd, orbit, nom, px)
@@ -327,17 +301,20 @@ def check_eigenfunction_bounds(
     decay_ok = not np.any(
         coupled & (peak > slack) & (term > peak * decay_factor) & (term > rel_floor)
     )
-    decay_ratios = {mode: float(r[m]) for m, mode in enumerate(sys.modes) if coupled[m]}
 
-    bounds_ok = max_viol <= 0.0
-    return EigenfunctionBoundReport(
+    bounds_ok = bool(max_viol <= 0.0)
+    return CheckResult(
         passed=bounds_ok and decay_ok,
-        bounds_ok=bounds_ok,
-        decay_ok=decay_ok,
-        max_bound_violation=max_viol,
-        decay_ratios=decay_ratios,
-        slack=slack,
-        decay_factor=decay_factor,
+        detail={
+            "bounds_ok": bounds_ok,
+            "decay_ok": decay_ok,
+            "max_bound_violation": max_viol,
+            "decay_ratios": {
+                f"{i},{s}": float(r[m]) for m, (i, s) in enumerate(sys.modes) if coupled[m]
+            },
+            "slack": float(slack),
+            "decay_factor": float(decay_factor),
+        },
     )
 
 

@@ -133,10 +133,6 @@ class ErrorSeries:
     bound_decaying: np.ndarray
     bound_constant: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.layer_norms)
-
     def bound_envelope(self) -> np.ndarray:
         """bound_constant[i] * ||L_i||^t, shape (n, T+1)."""
         t = np.arange(self.horizon + 1)
@@ -184,39 +180,18 @@ def _error_series(
 
 
 @dataclass(frozen=True)
-class BoundCheckReport:
-    """Did the error series respect its proved bounds and decay empirically?
+class CheckResult:
+    """The verdict of one check and the fields its report carries.
 
-    max_bound_violation: worst abs_err - bound_decaying over all (layer, t).
-    max_envelope_violation: worst bound_decaying - envelope over all (layer, t).
-    decay_ratios[i]: rel_err(T) / rel_err(T0) per layer (window check).
-    terminal_ratios[i]: rel_err(T) / max_t rel_err per layer.
+    detail holds plain float/bool/int/dict/list values; to_json() is the
+    check's entry in verify_report.json.
     """
 
     passed: bool
-    bounds_ok: bool
-    decay_ok: bool
-    max_bound_violation: float
-    max_envelope_violation: float
-    decay_ratios: tuple[float, ...]
-    terminal_ratios: tuple[float, ...]
-    slack: float
-    decay_factor: float
-    window_start: int
+    detail: dict
 
     def to_json(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "bounds_ok": bool(self.bounds_ok),
-            "decay_ok": bool(self.decay_ok),
-            "max_bound_violation": float(self.max_bound_violation),
-            "max_envelope_violation": float(self.max_envelope_violation),
-            "decay_ratios": [float(r) for r in self.decay_ratios],
-            "terminal_ratios": [float(r) for r in self.terminal_ratios],
-            "slack": float(self.slack),
-            "decay_factor": float(self.decay_factor),
-            "window_start": int(self.window_start),
-        }
+        return {"passed": self.passed, **self.detail}
 
 
 def check_error_bounds(
@@ -225,7 +200,7 @@ def check_error_bounds(
     decay_factor: float = 1e-3,
     window_start: int | None = None,
     rel_floor: float = 1e-10,
-) -> BoundCheckReport:
+) -> CheckResult:
     """Verify the two bound inequalities for every (layer, t) and the
     empirical relative-error decay over the last part of the horizon.
 
@@ -236,6 +211,12 @@ def check_error_bounds(
     eight orders below the series peak. Both cover series whose true error
     decays at the spectral-radius rate and hits the rounding floor
     mid-horizon, after which the measured values flatten.
+
+    detail: max_bound_violation, the worst abs_err - bound_decaying over all
+    (layer, t); max_envelope_violation, the worst bound_decaying - envelope;
+    per layer, decay_ratios rel_err(T) / rel_err(window_start) and
+    terminal_ratios rel_err(T) / max_t rel_err (0 where the divisor is not
+    positive); and the tolerances used.
     """
     T = es.horizon
     t0 = T // 2 if window_start is None else window_start
@@ -245,55 +226,33 @@ def check_error_bounds(
     envelope = es.bound_envelope()
     bound_viol = float(np.max(es.abs_err - es.bound_decaying)) if es.abs_err.size else 0.0
     env_viol = float(np.max(es.bound_decaying - envelope)) if es.abs_err.size else 0.0
-    bounds_ok = bound_viol <= slack and env_viol <= slack
+    bounds_ok = bool(bound_viol <= slack and env_viol <= slack)
 
-    decay_ratios = []
-    terminal_ratios = []
-    decay_ok = True
-    for k in range(es.n):
-        base = es.rel_err[k, t0]
-        term = es.rel_err[k, T]
-        peak = float(np.max(es.rel_err[k]))
-        decay_ratios.append(term / base if base > 0 else 0.0)
-        terminal_ratios.append(term / peak if peak > 0 else 0.0)
-        if (
-            k >= 1
-            and term > base * decay_factor + LOG_CLAMP
-            and term > rel_floor
-            and term > peak * FLOOR_RATIO
-        ):
-            decay_ok = False
-
-    return BoundCheckReport(
-        passed=bounds_ok and decay_ok,
-        bounds_ok=bounds_ok,
-        decay_ok=decay_ok,
-        max_bound_violation=bound_viol,
-        max_envelope_violation=env_viol,
-        decay_ratios=tuple(decay_ratios),
-        terminal_ratios=tuple(terminal_ratios),
-        slack=slack,
-        decay_factor=decay_factor,
-        window_start=t0,
+    base, term = es.rel_err[:, t0], es.rel_err[:, T]
+    peak = es.rel_err.max(axis=1)
+    decay_ratios = np.divide(term, base, out=np.zeros_like(term), where=base > 0)
+    terminal_ratios = np.divide(term, peak, out=np.zeros_like(term), where=peak > 0)
+    stalled = (
+        (term > base * decay_factor + LOG_CLAMP)
+        & (term > rel_floor)
+        & (term > peak * FLOOR_RATIO)
     )
+    decay_ok = not stalled[1:].any()
 
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Composite-norm convergence of the two orbits (whole-state check)."""
-
-    passed: bool
-    initial_error: float
-    terminal_error: float
-    ratio: float
-
-    def to_json(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "initial_error": float(self.initial_error),
-            "terminal_error": float(self.terminal_error),
-            "ratio": float(self.ratio),
-        }
+    return CheckResult(
+        passed=bounds_ok and decay_ok,
+        detail={
+            "bounds_ok": bounds_ok,
+            "decay_ok": decay_ok,
+            "max_bound_violation": bound_viol,
+            "max_envelope_violation": env_viol,
+            "decay_ratios": decay_ratios.tolist(),
+            "terminal_ratios": terminal_ratios.tolist(),
+            "slack": float(slack),
+            "decay_factor": float(decay_factor),
+            "window_start": int(t0),
+        },
+    )
 
 
 def check_asymptotic_equivalence(
@@ -303,18 +262,19 @@ def check_asymptotic_equivalence(
     T: int,
     ratio_tol: float = 1e-6,
     slack: float = 1e-9,
-) -> EquivalenceReport:
+) -> CheckResult:
     """Composite-norm distance between the coupled orbit from x0 and the
     decoupled orbit from pert(x0) must shrink by ratio_tol over the horizon."""
     lin, nom, _ = _orbit_pair(sys, pd, x0, T)
     ends = linalg.layer_norms(lin[[0, T]] - nom[[0, T]], sys.offsets).sum(axis=1)
     e0, eT = float(ends[0]), float(ends[1])
-    ratio = eT / e0 if e0 > 0 else 0.0
-    return EquivalenceReport(
-        passed=eT <= max(ratio_tol * e0, slack),
-        initial_error=e0,
-        terminal_error=eT,
-        ratio=ratio,
+    return CheckResult(
+        passed=bool(eT <= max(ratio_tol * e0, slack)),
+        detail={
+            "initial_error": e0,
+            "terminal_error": eT,
+            "ratio": eT / e0 if e0 > 0 else 0.0,
+        },
     )
 
 

@@ -206,12 +206,12 @@ def test_criterion_8_nonlinear_transfer(replica_full):
     Y, X = kc.conjugated_orbit(nl, system.A, y0.stacked(), 200)
     eq = kc.check_nonlinear_equivalence(nl, pd, Y, X)
     reports = kc.check_nonlinear_eigenfunction_decay(nl, pd, X[:51], agreement_horizon=50)
-    worst_disc = max(rep.path_discrepancy for rep in reports.values())
-    ok = eq.terminal_ratio < 1e-3 and worst_disc <= 1e-8
+    worst_disc = max(rep.detail["path_discrepancy"] for rep in reports.values())
+    ok = eq.detail["terminal_ratio"] < 1e-3 and worst_disc <= 1e-8
     _report(
         8,
         ok,
-        f"orbit error terminal/peak {eq.terminal_ratio:.3e} (tol 1e-3); worst "
+        f"orbit error terminal/peak {eq.detail['terminal_ratio']:.3e} (tol 1e-3); worst "
         f"nonlinear-vs-linear path discrepancy over all (i,s), t<=50: "
         f"{worst_disc:.3e} (tol 1e-8)",
     )

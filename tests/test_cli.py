@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import koopcascade as kc
-from koopcascade.cli import main
+from koopcascade.cli import ALL_CHECKS, LINEAR_CHECKS, main
 from koopcascade.orbits import CSV_COLUMNS
 from tests.conftest import cli_cascade, cli_state
 
@@ -187,6 +187,38 @@ class TestVerify:
         rep = json.loads((out / "verify_report.json").read_text())
         assert list(rep["checks"]) == ["error-bounds"]
 
+    def test_repeated_checks_run_once_in_first_seen_order(self, tmp_path, scalar_spec, capsys):
+        out = tmp_path / "verdup"
+        checks = "eigenfunction-exactness,error-bounds,eigenfunction-exactness,error-bounds"
+        assert run("verify", "--spec", scalar_spec, "--checks", checks, "--out-dir", out) == 0
+        assert capsys.readouterr().out.splitlines()[:-1] == [
+            "eigenfunction-exactness: pass", "error-bounds: pass",
+        ]
+        rep = json.loads((out / "verify_report.json").read_text())
+        assert sorted(rep["checks"]) == ["eigenfunction-exactness", "error-bounds"]
+
+    @pytest.mark.parametrize("spec, conjugacy", [
+        ("general_spec", None),
+        ("scalar_spec", {"kind": "polynomialDiagonal", "a": [0.1, 0.2]}),
+    ])
+    def test_each_check_alone_matches_all(self, tmp_path, request, spec, conjugacy):
+        # a check run alone, without the orbits and series the others share,
+        # reports what it reports in a full run; horizon 150 puts the decay
+        # sweep's 100 steps short of the nonlinear orbit's full length
+        argv = ["verify", "--spec", request.getfixturevalue(spec), "--horizon", 150]
+        if conjugacy:
+            conj_path = tmp_path / "conj.json"
+            conj_path.write_text(json.dumps(conjugacy))
+            argv += ["--conjugacy", conj_path]
+        assert run(*argv, "--out-dir", tmp_path / "all") == 0
+        full = json.loads((tmp_path / "all" / "verify_report.json").read_text())["checks"]
+        assert sorted(full) == sorted(ALL_CHECKS if conjugacy else LINEAR_CHECKS)
+        for name in full:
+            out = tmp_path / name
+            assert run(*argv, "--checks", name, "--out-dir", out) == 0
+            alone = json.loads((out / "verify_report.json").read_text())["checks"]
+            assert alone == {name: full[name]}
+
     def test_unknown_check_rejected(self, tmp_path, scalar_spec):
         assert run("verify", "--spec", scalar_spec, "--checks", "bogus",
                    "--out-dir", tmp_path / "vx") == 2
@@ -328,6 +360,36 @@ class TestReproPaper:
         manifest = json.loads((a / "manifest.json").read_text())
         assert manifest["files"]["errors.csv"]["sha256"] == \
             json.loads((b / "manifest.json").read_text())["files"]["errors.csv"]["sha256"]
+
+    def test_report_field_names(self, tmp_path):
+        out = tmp_path / "fields"
+        assert run("repro-paper", "--out-dir", out) == 0
+        checks = json.loads((out / "verify_report.json").read_text())["checks"]
+        assert {name: sorted(fields) for name, fields in checks.items()} == {
+            "error-bounds": [
+                "bounds_ok", "decay_factor", "decay_ok", "decay_ratios",
+                "max_bound_violation", "max_envelope_violation", "passed", "slack",
+                "terminal_ratios", "window_start",
+            ],
+            "asymptotic-equivalence": ["initial_error", "passed", "ratio", "terminal_error"],
+            "eigenfunction-bounds": [
+                "bounds_ok", "decay_factor", "decay_ok", "decay_ratios",
+                "max_bound_violation", "passed", "slack",
+            ],
+            "eigenfunction-exactness": ["max_residual", "passed", "residual_tol"],
+            "nonlinear-equivalence": [
+                "decay_factor", "entered_ball_at", "max_error", "passed",
+                "terminal_error", "terminal_ratio",
+            ],
+            "nonlinear-eigenfunction-decay": ["pairs", "passed"],
+        }
+        pairs = checks["nonlinear-eigenfunction-decay"]["pairs"]
+        assert list(pairs) == ["7,1", "7,2", "7,3"]
+        for fields in pairs.values():
+            assert sorted(fields) == [
+                "agreement_horizon", "agreement_tol", "decay_factor", "decay_ok",
+                "max_ratio", "passed", "path_discrepancy", "paths_agree", "terminal_ratio",
+            ]
 
     def test_orbit_overflow_exit_4(self, tmp_path, capsys):
         # 20 layers: |P x0| is about 1e23, past the absolute overflow limit

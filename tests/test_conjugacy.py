@@ -155,15 +155,20 @@ class TestNonlinearEquivalence:
     def test_identity_conjugacy_reduces_to_linear_numbers(self, replica):
         sys_, pd, x0 = replica
         nl = kc.NonlinearCascade(base=sys_, conj=kc.identity_conjugacy())
-        rep = kc.check_nonlinear_equivalence(
-            nl, pd, *kc.conjugated_orbit(nl, sys_.A, x0.stacked(), 60)
-        )
+        Y, X = kc.conjugated_orbit(nl, sys_.A, x0.stacked(), 60)
+        rep = kc.check_nonlinear_equivalence(nl, pd, Y, X)
+        # the series the check reads: the coupled orbit against the nominal
+        # one from the perturbed start
+        nominal, _ = kc.conjugated_orbit(nl, sys_.N, pd.P @ X[0], 60)
+        errors = linalg.layer_norms(Y - nominal, sys_.offsets).sum(axis=1)
         lin = kc.iterate_lin(sys_, x0, 60)
         nom = kc.iterate_nom(sys_, kc.apply_perturbation(pd, x0), 60)
+        oracle = [state_gap(lin[t], nom[t]) for t in range(61)]
         for t in range(61):
-            assert rep.errors[t] == pytest.approx(
-                state_gap(lin[t], nom[t]), rel=1e-12, abs=1e-14
-            )
+            assert errors[t] == pytest.approx(oracle[t], rel=1e-12, abs=1e-14)
+        assert rep.detail["terminal_error"] == pytest.approx(oracle[-1], rel=1e-12, abs=1e-14)
+        assert rep.detail["max_error"] == pytest.approx(max(oracle), rel=1e-12, abs=1e-14)
+        assert rep.detail["terminal_ratio"] == pytest.approx(oracle[-1] / max(oracle), rel=1e-12)
 
     def test_cubic_conjugacy_on_replica(self, replica):
         sys_, pd, x0 = replica
@@ -173,8 +178,8 @@ class TestNonlinearEquivalence:
             nl, pd, *kc.conjugated_orbit(nl, sys_.A, conj.forward(x0).stacked(), 200)
         )
         assert rep.passed
-        assert rep.terminal_ratio < 1e-3
-        assert rep.entered_ball_at is not None
+        assert rep.detail["terminal_ratio"] < 1e-3
+        assert rep.detail["entered_ball_at"] is not None
 
     def test_mixed_zero_layer_passes(self, replica):
         sys_, pd, x0 = replica
@@ -196,8 +201,8 @@ class TestNonlinearEigenfunctionDecay:
         reports = kc.check_nonlinear_eigenfunction_decay(nl, pd, X)
         assert list(reports) == list(sys_.modes)
         for rep in reports.values():
-            assert rep.paths_agree
-            assert rep.path_discrepancy == 0.0
+            assert rep.detail["paths_agree"]
+            assert rep.detail["path_discrepancy"] == 0.0
 
     def test_cubic_paths_agree_and_decay(self, replica):
         sys_, pd, x0 = replica
@@ -206,10 +211,10 @@ class TestNonlinearEigenfunctionDecay:
         _, X = kc.conjugated_orbit(nl, sys_.A, conj.forward(x0).stacked(), 100)
         reports = kc.check_nonlinear_eigenfunction_decay(nl, pd, X, agreement_horizon=50)
         for mode, rep in reports.items():
-            assert rep.paths_agree, (mode, rep.path_discrepancy)
-            assert rep.path_discrepancy <= 1e-8
-            assert rep.decay_ok, mode
-            assert rep.terminal_ratio < 1e-3
+            assert rep.detail["paths_agree"], (mode, rep.detail["path_discrepancy"])
+            assert rep.detail["path_discrepancy"] <= 1e-8
+            assert rep.detail["decay_ok"], mode
+            assert rep.detail["terminal_ratio"] < 1e-3
 
     def test_all_modes_match_per_mode_oracle(self, replica):
         # per-mode loop over StateVectors: invert each state, evaluate the
@@ -227,8 +232,12 @@ class TestNonlinearEigenfunctionDecay:
         xs = [conj.inverse(kc.StateVector.unstack(y, sys_.dims)) for y in Y]
         lin = kc.iterate_lin(sys_, xs[0], T)
         px = kc.apply_perturbation(pd, xs[0])
-        assert set(reports) == set(sys_.modes)
-        for (i, s), rep in reports.items():
+        # the ratio series the check reads, one column per mode
+        predicted = sys_.lam_powers(T) * kc.inherited_eigenfunctions(sys_, pd, X[0])
+        norm_pow = np.repeat(sys_.norms, sys_.dims) ** np.arange(T + 1)[:, None]
+        series = np.abs(X @ sys_.Vinv.T - predicted) / norm_pow
+        assert list(reports) == list(sys_.modes)
+        for m, ((i, s), rep) in enumerate(reports.items()):
             row = sys_.eig_of(i).Vinv[s - 1]
             lam = sys_.eig_of(i).eigenvalues[s - 1]
             target = row @ px.layer(i)
@@ -244,12 +253,17 @@ class TestNonlinearEigenfunctionDecay:
             peak = max(ratios)
             decay_ok = peak == 0.0 or ratios[-1] / peak < decay_factor
             paths_agree = discrepancy <= agreement_tol
-            assert (rep.passed, rep.decay_ok, rep.paths_agree) == (
+            detail = rep.detail
+            assert (rep.passed, detail["decay_ok"], detail["paths_agree"]) == (
                 decay_ok and paths_agree, decay_ok, paths_agree
             ), (i, s)
-            assert abs(rep.path_discrepancy - discrepancy) <= 1e-13, (i, s)
-            drift = max(abs(a - b) for a, b in zip(rep.ratios, ratios))
-            assert drift <= 1e-12 * max(1.0, peak), (i, s)
+            assert abs(detail["path_discrepancy"] - discrepancy) <= 1e-13, (i, s)
+            tol = 1e-12 * max(1.0, peak)
+            assert max(abs(a - b) for a, b in zip(series[:, m], ratios)) <= tol, (i, s)
+            assert abs(detail["max_ratio"] - peak) <= tol, (i, s)
+            # terminal_ratio is ratios[T] / peak, 0 where peak is 0
+            terminal = detail["terminal_ratio"] * detail["max_ratio"]
+            assert abs(terminal - ratios[-1]) <= tol, (i, s)
 
 
 class TestNewtonSolves:
@@ -272,7 +286,7 @@ class TestNewtonSolves:
             system, pd, x0, T, list(NONLINEAR_CHECKS), TolProfile(),
             kc.polynomial_conjugacy([0.1] * system.n),
         )
-        assert all(r["passed"] for r in results.values())
+        assert all(r.passed for r in results.values())
         # one solve per orbit state: at most two orbits of T + 1 states
         assert 1 <= len(calls) <= 2 * (T + 1)
         assert set(calls) == {(2 * sum(system.dims),)}

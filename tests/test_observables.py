@@ -203,11 +203,11 @@ class TestEigenfunctionBounds:
     def test_replica_bounds_and_decay(self, replica):
         sys_, pd, x0 = replica
         rep = kc.check_eigenfunction_bounds(sys_, pd, x0, 100)
-        assert rep.bounds_ok, rep.max_bound_violation
-        assert rep.decay_ok
+        assert rep.detail["bounds_ok"], rep.detail["max_bound_violation"]
+        assert rep.detail["decay_ok"]
         assert rep.passed
         # ratio decays by >= 1e3 from its max for every coupled layer pair
-        assert all(r < 1e-3 for r in rep.decay_ratios.values())
+        assert all(r < 1e-3 for r in rep.detail["decay_ratios"].values())
 
     def test_decoupled_trivially_passes(self):
         sys_ = kc.CascadeSystem.build(

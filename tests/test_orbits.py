@@ -174,8 +174,8 @@ class TestCheckErrorBounds:
         es = kc.compute_error_series(sys_, pd, sys_.random_state(np.random.default_rng(2)), 40)
         rep = kc.check_error_bounds(es)
         assert rep.passed
-        assert rep.max_bound_violation <= 0.0
-        assert all(r == 0.0 for r in rep.decay_ratios)
+        assert rep.detail["max_bound_violation"] <= 0.0
+        assert all(r == 0.0 for r in rep.detail["decay_ratios"])
 
     def test_replica_seeds_pass(self):
         # reference-scale systems over many seeds
@@ -206,7 +206,7 @@ class TestCheckErrorBounds:
         assert np.max(es.abs_err - es.bound_decaying) <= 1e-9
         # ...but the relative error grows instead of decaying
         rep = kc.check_error_bounds(es)
-        assert not rep.decay_ok
+        assert not rep.detail["decay_ok"]
         assert not rep.passed
         assert es.rel_err[1, 60] > es.rel_err[1, 0]
 
@@ -221,7 +221,7 @@ class TestAsymptoticEquivalence:
         sys_, pd, x0 = replica
         rep = kc.check_asymptotic_equivalence(sys_, pd, x0, 200, ratio_tol=1e-6)
         assert rep.passed
-        assert rep.terminal_error <= 1e-6 * rep.initial_error
+        assert rep.detail["terminal_error"] <= 1e-6 * rep.detail["initial_error"]
 
     def test_relative_error_terminal_and_monotone(self, replica):
         sys_, pd, x0 = replica
